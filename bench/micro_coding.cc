@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "storage/frozen_block.h"
 #include "storage/schema.h"
+#include "storage/table_leaf.h"
 
 namespace phoebe {
 namespace {
@@ -76,33 +77,6 @@ void RunWithAllocCounters(benchmark::State& state, Fn body) {
   }
 }
 
-/// Legacy path: a fresh RowBuilder + Encode() returning a new std::string
-/// per row (what the transaction hot path did before the arena codec).
-void BM_RowEncodeLegacyAllocs(benchmark::State& state) {
-  Schema s = BenchSchema();
-  RunWithAllocCounters(state, [&] {
-    RowBuilder b(&s);
-    b.SetInt64(0, 123456).SetInt32(1, 42).SetDouble(2, 3.14)
-        .SetString(3, "some medium length string value");
-    benchmark::DoNotOptimize(b.Encode());
-  });
-}
-BENCHMARK(BM_RowEncodeLegacyAllocs);
-
-/// Scratch-string path: hoisted builder + EncodeTo(std::string*) reusing
-/// capacity; steady state is allocation-free.
-void BM_RowEncodeToStringAllocs(benchmark::State& state) {
-  Schema s = BenchSchema();
-  RowBuilder b(&s);
-  std::string out;
-  RunWithAllocCounters(state, [&] {
-    b.SetInt64(0, 123456).SetInt32(1, 42).SetDouble(2, 3.14)
-        .SetStringRef(3, Slice("some medium length string value"));
-    benchmark::DoNotOptimize(b.EncodeTo(&out));
-  });
-}
-BENCHMARK(BM_RowEncodeToStringAllocs);
-
 /// Arena path: hoisted builder + EncodeTo(Arena*) with the per-transaction
 /// reset pattern; zero heap allocations, bytes land in the arena.
 void BM_RowEncodeToArenaAllocs(benchmark::State& state) {
@@ -118,21 +92,8 @@ void BM_RowEncodeToArenaAllocs(benchmark::State& state) {
 }
 BENCHMARK(BM_RowEncodeToArenaAllocs);
 
-/// Delta codec: legacy MakeDelta (std::string result) vs MakeDeltaTo
-/// (arena slice), the UNDO-assembly hot path of UpdateApply.
-void BM_MakeDeltaLegacyAllocs(benchmark::State& state) {
-  Schema s = BenchSchema();
-  RowBuilder b(&s);
-  b.SetInt64(0, 123456).SetInt32(1, 42).SetDouble(2, 3.14)
-      .SetString(3, "some medium length string value");
-  std::string row = b.Encode().value();
-  RowView view(&s, row.data());
-  RunWithAllocCounters(state, [&] {
-    benchmark::DoNotOptimize(DeltaCodec::MakeDelta(s, view, {0, 1, 3}));
-  });
-}
-BENCHMARK(BM_MakeDeltaLegacyAllocs);
-
+/// Delta codec: MakeDeltaTo into the arena, the UNDO-assembly hot path of
+/// UpdateApply.
 void BM_MakeDeltaToArenaAllocs(benchmark::State& state) {
   Schema s = BenchSchema();
   RowBuilder b(&s);
@@ -149,6 +110,39 @@ void BM_MakeDeltaToArenaAllocs(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_MakeDeltaToArenaAllocs);
+
+/// PAX slot -> encoded row, the materialization every Table::GetRef does.
+/// Arg = column count; column types cycle int64/int32/double/string.
+void BM_ReadRowTo(benchmark::State& state) {
+  std::vector<ColumnDef> cols;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    ColumnType type = static_cast<ColumnType>((i + 1) % 4);
+    cols.push_back({"c" + std::to_string(i), type,
+                    type == ColumnType::kString ? 24u : 0u, false});
+  }
+  Schema s(std::move(cols));
+  RowBuilder b(&s);
+  for (size_t i = 0; i < s.num_columns(); ++i) {
+    switch (s.column(i).type) {
+      case ColumnType::kInt32: b.SetInt32(i, 7); break;
+      case ColumnType::kInt64: b.SetInt64(i, 1234567); break;
+      case ColumnType::kDouble: b.SetDouble(i, 2.5); break;
+      case ColumnType::kString: b.SetString(i, "sixteen-byte-str"); break;
+    }
+  }
+  std::string row = b.Encode().value();
+  TableLeafLayout layout = TableLeafLayout::Compute(s);
+  std::vector<char> page(kPageSize);
+  TableLeaf::Init(page.data(), s, layout, /*first_row_id=*/1);
+  TableLeaf leaf(page.data(), &s, &layout);
+  (void)leaf.InsertRow(3, RowView(&s, row.data()));
+  Arena arena;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(leaf.ReadRowTo(3, &arena));
+    arena.Reset();
+  }
+}
+BENCHMARK(BM_ReadRowTo)->Arg(4)->Arg(21);
 
 void BM_FrozenBlockEncode(benchmark::State& state) {
   Schema s = BenchSchema();

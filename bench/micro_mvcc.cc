@@ -20,6 +20,14 @@ std::string Row(const Schema& s, int64_t v) {
   return b.Encode().value();
 }
 
+/// Before-image delta of the single column of `row`.
+std::string Delta(const Schema& s, const std::string& row) {
+  Arena arena;
+  const uint32_t col = 0;
+  return DeltaCodec::MakeDeltaTo(s, RowView(&s, row.data()), &col, 1, &arena)
+      .ToString();
+}
+
 void BM_UndoAllocRecycle(benchmark::State& state) {
   UndoArena arena;
   std::string delta(static_cast<size_t>(state.range(0)), 'd');
@@ -52,9 +60,8 @@ void BM_VisibilityHeaderHit(benchmark::State& state) {
   UndoArena arena;
   TwinTable twin(4);
   std::string base = Row(s, 7);
-  UndoRecord* rec = arena.Alloc(UndoKind::kUpdate, 1, 1,
-                                DeltaCodec::MakeDelta(
-                                    s, RowView(&s, base.data()), {0}));
+  UndoRecord* rec =
+      arena.Alloc(UndoKind::kUpdate, 1, 1, Delta(s, base));
   rec->ets.store(5, std::memory_order_relaxed);
   twin.entry(1).head.store(rec, std::memory_order_relaxed);
   Arena scratch;
@@ -78,9 +85,7 @@ void BM_VisibilityChainWalk(benchmark::State& state) {
   // Build chain oldest..newest with sts/ets = (i, i+1).
   for (int i = 1; i <= depth; ++i) {
     std::string row = Row(s, i);
-    UndoRecord* rec = arena.Alloc(
-        UndoKind::kUpdate, 1, 1,
-        DeltaCodec::MakeDelta(s, RowView(&s, row.data()), {0}));
+    UndoRecord* rec = arena.Alloc(UndoKind::kUpdate, 1, 1, Delta(s, row));
     rec->sts.store(static_cast<uint64_t>(i), std::memory_order_relaxed);
     rec->ets.store(static_cast<uint64_t>(i + 1), std::memory_order_relaxed);
     rec->next.store(next, std::memory_order_relaxed);
@@ -110,9 +115,7 @@ void BM_VisibilityChainWalkAllocs(benchmark::State& state) {
   UndoRecord* next = nullptr;
   for (int i = 1; i <= depth; ++i) {
     std::string row = Row(s, i);
-    UndoRecord* rec = arena.Alloc(
-        UndoKind::kUpdate, 1, 1,
-        DeltaCodec::MakeDelta(s, RowView(&s, row.data()), {0}));
+    UndoRecord* rec = arena.Alloc(UndoKind::kUpdate, 1, 1, Delta(s, row));
     rec->sts.store(static_cast<uint64_t>(i), std::memory_order_relaxed);
     rec->ets.store(static_cast<uint64_t>(i + 1), std::memory_order_relaxed);
     rec->next.store(next, std::memory_order_relaxed);

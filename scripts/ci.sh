@@ -28,6 +28,9 @@ cmake --build build -j "$(nproc)"
 echo "===== tier-1: ctest ====="
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
+echo "===== tier-1: repository benchmark self-test ====="
+python3 perfbench/selftest.py
+
 echo "===== tier-1: bench smoke (sched + alloc + btree) ====="
 scripts/bench_smoke.sh 1
 python3 - <<'EOF'

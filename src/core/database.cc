@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/arena.h"
 #include "common/profiler.h"
 #include "txn/twin_table.h"
 #include "wal/recovery.h"
@@ -114,13 +115,18 @@ Status Database::Init() {
   deps_.lock_table = lock_table_.get();
   deps_.held_locks = &held_locks_;
 
-  // GC reclaim hook: purge deleted tuples / stale index entries.
+  // GC reclaim hook: purge deleted tuples / stale index entries. GC runs
+  // outside any transaction, so each GC thread keeps its own scratch arena
+  // for the rows and keys of one reclaimed record.
   txn_mgr_->set_reclaim_hook([this](const UndoRecord& rec) {
     Table* table = TableById(rec.relation);
     if (table != nullptr) {
+      static thread_local Arena scratch;
+      scratch.Reset();
       OpContext ctx;
       ctx.synchronous = true;
       ctx.count_accesses = false;
+      ctx.arena = &scratch;
       table->OnUndoReclaimed(&ctx, rec);
     }
   });
@@ -253,12 +259,15 @@ Status Database::RunRecovery(uint64_t watermark_gsn, uint64_t checkpoint_ts) {
   recovery_info_.committed_txns = result.commits.size();
   recovery_info_.skipped_uncommitted = result.skipped_uncommitted;
 
+  Arena scratch;  // one record's rows and keys, reset per record
   OpContext ctx;
   ctx.synchronous = true;
   ctx.count_accesses = false;
+  ctx.arena = &scratch;
 
   Status st = WalRecovery::Replay(
       result, [&](const WalRecord& rec, Timestamp) -> Status {
+        scratch.Reset();
         RelationId rel = 0;
         RowId rid = 0;
         Slice body;

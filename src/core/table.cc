@@ -1,6 +1,7 @@
 #include "core/table.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <unordered_set>
 
@@ -12,66 +13,6 @@
 #include "wal/record.h"
 
 namespace phoebe {
-
-namespace {
-
-void EncodeOrderedInt64(std::string* out, int64_t v) {
-  // Flip the sign bit so two's-complement order matches memcmp order.
-  uint64_t u = static_cast<uint64_t>(v) ^ (1ull << 63);
-  char buf[8];
-  EncodeBigEndian64(buf, u);
-  out->append(buf, 8);
-}
-
-char* EncodeOrderedInt64Raw(char* dst, int64_t v) {
-  EncodeBigEndian64(dst, static_cast<uint64_t>(v) ^ (1ull << 63));
-  return dst + 8;
-}
-
-/// Arena flavor of EncodeKeyValuesTo for the zero-allocation point-lookup
-/// path: exact size is computed up front, so no shrink slack remains.
-Result<Slice> EncodeKeyValuesToArena(const Schema& schema,
-                                     const std::vector<uint32_t>& cols,
-                                     const std::vector<Value>& values,
-                                     Arena* arena) {
-  if (cols.size() != values.size()) {
-    return Result<Slice>(Status::InvalidArgument("key value count mismatch"));
-  }
-  size_t need = 0;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    switch (schema.column(cols[i]).type) {
-      case ColumnType::kInt32:
-      case ColumnType::kInt64: need += 8; break;
-      case ColumnType::kString: need += values[i].str_ref().size() + 1; break;
-      case ColumnType::kDouble:
-        return Result<Slice>(Status::NotSupported("double index keys"));
-    }
-  }
-  char* buf = arena->Allocate(need);
-  char* p = buf;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    const Value& v = values[i];
-    switch (schema.column(cols[i]).type) {
-      case ColumnType::kInt32:
-      case ColumnType::kInt64:
-        p = EncodeOrderedInt64Raw(p, v.i64);
-        break;
-      case ColumnType::kString: {
-        Slice s = v.str_ref();
-        if (!s.empty()) {
-          memcpy(p, s.data(), s.size());
-          p += s.size();
-        }
-        *p++ = '\0';
-        break;
-      }
-      case ColumnType::kDouble: break;  // rejected above
-    }
-  }
-  return Result<Slice>(Slice(buf, need));
-}
-
-}  // namespace
 
 Table::Table(EngineDeps* deps, std::string name, RelationId id, Schema schema)
     : deps_(deps),
@@ -138,91 +79,92 @@ int Table::FindIndex(const std::string& name) const {
 // Key encoding
 // ---------------------------------------------------------------------------
 
-Status Table::EncodeKeyValuesTo(const Schema& schema,
-                                const std::vector<uint32_t>& cols,
-                                const std::vector<Value>& values,
-                                std::string* out) {
-  out->clear();
-  if (cols.size() != values.size()) {
-    return Status::InvalidArgument("key value count mismatch");
+namespace {
+
+/// EncodeKey value sources, indexed by key position k.
+struct KeyValues {
+  const Value* values;
+  int64_t Int(size_t k) const { return values[k].i64; }
+  Slice String(size_t k) const { return values[k].str_ref(); }
+};
+
+struct KeyOfRow {
+  const Schema& schema;
+  RowView row;
+  const uint32_t* cols;
+  int64_t Int(size_t k) const {
+    const uint32_t c = cols[k];
+    if (row.IsNull(c)) return 0;
+    return schema.column(c).type == ColumnType::kInt32 ? row.GetInt32(c)
+                                                       : row.GetInt64(c);
   }
-  for (size_t i = 0; i < cols.size(); ++i) {
-    const ColumnDef& def = schema.column(cols[i]);
-    const Value& v = values[i];
-    switch (def.type) {
+  Slice String(size_t k) const {
+    return row.IsNull(cols[k]) ? Slice() : row.GetString(cols[k]);
+  }
+};
+
+/// The one writer of the index-key format (see Table::EncodeKey). The exact
+/// size is computed first, so the arena keeps no slack.
+template <typename Source>
+Result<Slice> WriteKey(const Schema& schema, const uint32_t* cols, size_t n,
+                       const Source& src, Arena* arena) {
+  size_t need = 0;
+  for (size_t k = 0; k < n; ++k) {
+    switch (schema.column(cols[k]).type) {
       case ColumnType::kInt32:
-      case ColumnType::kInt64:
-        EncodeOrderedInt64(out, v.i64);
-        break;
-      case ColumnType::kString: {
-        Slice s = v.str_ref();
-        if (!s.empty()) out->append(s.data(), s.size());
-        out->push_back('\0');
-        break;
-      }
+      case ColumnType::kInt64: need += 8; break;
+      case ColumnType::kString: need += src.String(k).size() + 1; break;
       case ColumnType::kDouble:
         return Status::NotSupported("double index keys");
     }
   }
-  return Status::OK();
-}
-
-Status Table::EncodeKeyFromRowTo(const Schema& schema,
-                                 const std::vector<uint32_t>& cols,
-                                 RowView row, std::string* out) {
-  out->clear();
-  for (uint32_t c : cols) {
-    const ColumnDef& def = schema.column(c);
-    switch (def.type) {
-      case ColumnType::kInt32:
-        EncodeOrderedInt64(out, row.IsNull(c) ? 0 : row.GetInt32(c));
-        break;
-      case ColumnType::kInt64:
-        EncodeOrderedInt64(out, row.IsNull(c) ? 0 : row.GetInt64(c));
-        break;
-      case ColumnType::kString: {
-        if (!row.IsNull(c)) {
-          Slice s = row.GetString(c);
-          if (!s.empty()) out->append(s.data(), s.size());
-        }
-        out->push_back('\0');
-        break;
-      }
-      case ColumnType::kDouble:
-        return Status::NotSupported("double index keys");
+  char* buf = arena->Allocate(need);
+  char* p = buf;
+  for (size_t k = 0; k < n; ++k) {
+    if (schema.column(cols[k]).type == ColumnType::kString) {
+      Slice s = src.String(k);
+      if (!s.empty()) memcpy(p, s.data(), s.size());
+      p += s.size();
+      *p++ = '\0';
+    } else {
+      // Flip the sign bit so two's-complement order matches memcmp order.
+      EncodeBigEndian64(p, static_cast<uint64_t>(src.Int(k)) ^ (1ull << 63));
+      p += 8;
     }
   }
-  return Status::OK();
+  return Slice(buf, need);
 }
 
-Result<std::string> Table::EncodeKeyValues(const Schema& schema,
-                                           const std::vector<uint32_t>& cols,
-                                           const std::vector<Value>& values) {
-  std::string out;
-  Status st = EncodeKeyValuesTo(schema, cols, values, &out);
-  if (!st.ok()) return Result<std::string>(st);
-  return Result<std::string>(std::move(out));
-}
+}  // namespace
 
-Result<std::string> Table::EncodeKeyFromRow(const Schema& schema,
-                                            const std::vector<uint32_t>& cols,
-                                            RowView row) {
-  std::string out;
-  Status st = EncodeKeyFromRowTo(schema, cols, row, &out);
-  if (!st.ok()) return Result<std::string>(st);
-  return Result<std::string>(std::move(out));
-}
-
-std::string Table::PrefixSuccessor(const std::string& key) {
-  std::string out = key;
-  while (!out.empty()) {
-    if (static_cast<uint8_t>(out.back()) != 0xFF) {
-      out.back() = static_cast<char>(static_cast<uint8_t>(out.back()) + 1);
-      return out;
-    }
-    out.pop_back();
+Result<Slice> Table::EncodeKey(const Schema& schema,
+                               const std::vector<uint32_t>& cols,
+                               const std::vector<Value>& values,
+                               Arena* arena) {
+  if (values.size() > cols.size()) {
+    return Status::InvalidArgument("too many key values");
   }
-  return out;  // empty = unbounded
+  return WriteKey(schema, cols.data(), values.size(), KeyValues{values.data()},
+                  arena);
+}
+
+Result<Slice> Table::EncodeKey(const Schema& schema,
+                               const std::vector<uint32_t>& cols, RowView row,
+                               Arena* arena) {
+  return WriteKey(schema, cols.data(), cols.size(),
+                  KeyOfRow{schema, row, cols.data()}, arena);
+}
+
+size_t Table::PrefixSuccessor(char* key, size_t n) {
+  while (n > 0) {
+    uint8_t last = static_cast<uint8_t>(key[n - 1]);
+    if (last != 0xFF) {
+      key[n - 1] = static_cast<char>(last + 1);
+      return n;
+    }
+    --n;
+  }
+  return 0;  // unbounded
 }
 
 Arena* Table::ScratchOf(OpContext* ctx, Transaction* txn) {
@@ -231,7 +173,18 @@ Arena* Table::ScratchOf(OpContext* ctx, Transaction* txn) {
   // OpContext may outlive this database instance, e.g. across a test's
   // close/reopen cycle, and a cached pointer would dangle).
   if (ctx->arena != nullptr) return ctx->arena;
+  assert(txn != nullptr);
   return &deps_->txn_mgr->slot(txn->slot_id()).scratch;
+}
+
+template <typename Fn>
+Status Table::ForEachIndexKey(RowView row, Arena* arena, Fn&& fn) {
+  for (auto& idx : indexes_) {
+    Result<Slice> key = EncodeKey(schema_, idx->key_columns, row, arena);
+    if (!key.ok()) return key.status();
+    PHOEBE_RETURN_IF_ERROR(fn(*idx, key.value()));
+  }
+  return Status::OK();
 }
 
 void Table::BumpNextRowId(RowId at_least) {
@@ -372,16 +325,13 @@ Status Table::Insert(OpContext* ctx, Transaction* txn, Slice row,
   PHOEBE_RETURN_IF_ERROR(InsertBase(ctx, txn, rid, row));
 
   // Index maintenance: synchronous sub-context (no yields after the apply).
-  // One scratch key reused across the probe loop (capacity persists).
   OpContext sync;
   sync.InitSyncViewOf(*ctx);
-  RowView view(&schema_, row.data());
-  std::string key_scratch;
-  for (auto& idx : indexes_) {
-    PHOEBE_RETURN_IF_ERROR(
-        EncodeKeyFromRowTo(schema_, idx->key_columns, view, &key_scratch));
-    PHOEBE_RETURN_IF_ERROR(IndexInsertEntry(&sync, *idx, key_scratch, rid));
-  }
+  PHOEBE_RETURN_IF_ERROR(ForEachIndexKey(
+      RowView(&schema_, row.data()), ScratchOf(ctx, txn),
+      [&](IndexDef& idx, Slice key) {
+        return IndexInsertEntry(&sync, idx, key, rid);
+      }));
   txn->rows_written += 1;
   return Status::OK();
 }
@@ -541,7 +491,7 @@ Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
     }
 
     // Patch the encoded row directly instead of re-building every column
-    // through RowBuilder (byte-identical; see PatchRowTo).
+    // through RowBuilder.
     Result<Slice> new_row =
         PatchRowTo(schema_, old_view, sets.data(), sets.size(), arena);
     if (!new_row.ok()) return new_row.status();
@@ -585,8 +535,6 @@ Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
     // Key-changing updates: swap the affected index entries (synchronous).
     OpContext sync;
     sync.InitSyncViewOf(*ctx);
-    std::string old_key;
-    std::string new_key;
     for (auto& idx : indexes_) {
       bool touches = false;
       for (uint32_t c : idx->key_columns) {
@@ -596,12 +544,15 @@ Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
         }
       }
       if (!touches) continue;
+      Result<Slice> old_key =
+          EncodeKey(schema_, idx->key_columns, old_view, arena);
+      if (!old_key.ok()) return old_key.status();
+      Result<Slice> new_key =
+          EncodeKey(schema_, idx->key_columns, new_view, arena);
+      if (!new_key.ok()) return new_key.status();
+      if (old_key.value() == new_key.value()) continue;
       PHOEBE_RETURN_IF_ERROR(
-          EncodeKeyFromRowTo(schema_, idx->key_columns, old_view, &old_key));
-      PHOEBE_RETURN_IF_ERROR(
-          EncodeKeyFromRowTo(schema_, idx->key_columns, new_view, &new_key));
-      if (old_key == new_key) continue;
-      PHOEBE_RETURN_IF_ERROR(IndexInsertEntry(&sync, *idx, new_key, rid));
+          IndexInsertEntry(&sync, *idx, new_key.value(), rid));
     }
     txn->rows_written += 1;
     return Status::OK();
@@ -709,13 +660,11 @@ Status Table::DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid) {
                       WalRecordCodec::DataPayload(id_, rid, Slice()));
   OpContext sync;
   sync.InitSyncViewOf(*ctx);
-  RowView view(&schema_, row.data());
-  for (auto& idx : indexes_) {
-    Result<std::string> key =
-        EncodeKeyFromRow(schema_, idx->key_columns, view);
-    if (!key.ok()) return key.status();
-    PHOEBE_RETURN_IF_ERROR(IndexRemoveEntry(&sync, *idx, key.value(), rid));
-  }
+  PHOEBE_RETURN_IF_ERROR(ForEachIndexKey(
+      RowView(&schema_, row.data()), ScratchOf(ctx, txn),
+      [&](IndexDef& idx, Slice key) {
+        return IndexRemoveEntry(&sync, idx, key, rid);
+      }));
   txn->rows_written += 1;
   return Status::OK();
 }
@@ -738,8 +687,11 @@ Status Table::IndexGetRef(OpContext* ctx, Transaction* txn, size_t index_no,
                           const std::vector<Value>& key_values, RowId* rid,
                           Slice* row) {
   IndexDef& idx = *indexes_[index_no];
-  Result<Slice> key = EncodeKeyValuesToArena(schema_, idx.key_columns,
-                                             key_values, ScratchOf(ctx, txn));
+  if (key_values.size() != idx.key_columns.size()) {
+    return Status::InvalidArgument("key value count mismatch");
+  }
+  Result<Slice> key =
+      EncodeKey(schema_, idx.key_columns, key_values, ScratchOf(ctx, txn));
   if (!key.ok()) return key.status();
   uint64_t value = 0;
   PHOEBE_RETURN_IF_ERROR(idx.tree->IndexLookup(ctx, key.value(), &value));
@@ -765,17 +717,17 @@ Status Table::IndexScanRef(OpContext* ctx, Transaction* txn, size_t index_no,
                            const std::vector<Value>& hi_values,
                            FunctionRef<bool(RowId, Slice)> cb) {
   IndexDef& idx = *indexes_[index_no];
-  std::vector<uint32_t> lo_cols(idx.key_columns.begin(),
-                                idx.key_columns.begin() + lo_values.size());
-  Result<std::string> lo = EncodeKeyValues(schema_, lo_cols, lo_values);
+  Arena* arena = ScratchOf(ctx, txn);
+  Result<Slice> lo = EncodeKey(schema_, idx.key_columns, lo_values, arena);
   if (!lo.ok()) return lo.status();
-  std::string hi;
+  Slice hi;
   if (hi_values.empty()) {
-    hi = PrefixSuccessor(lo.value());
+    const size_t n = lo.value().size();
+    char* key = arena->Allocate(n);
+    memcpy(key, lo.value().data(), n);
+    hi = Slice(key, PrefixSuccessor(key, n));
   } else {
-    std::vector<uint32_t> hi_cols(idx.key_columns.begin(),
-                                  idx.key_columns.begin() + hi_values.size());
-    Result<std::string> h = EncodeKeyValues(schema_, hi_cols, hi_values);
+    Result<Slice> h = EncodeKey(schema_, idx.key_columns, hi_values, arena);
     if (!h.ok()) return h.status();
     hi = h.value();
   }
@@ -995,18 +947,21 @@ Status Table::RollbackRecord(OpContext* ctx, Transaction* txn,
   if (twin == nullptr) return Status::Corruption("rollback: twin missing");
   auto& entry = twin->entry(slot);
 
-  std::string old_row_for_index;
+  Arena* arena = ScratchOf(ctx, txn);
+  Slice inserted_row;
   switch (rec->kind) {
     case UndoKind::kInsert: {
-      PHOEBE_RETURN_IF_ERROR(leaf.ReadRow(slot, &old_row_for_index));
+      Result<Slice> row = leaf.ReadRowTo(slot, arena);
+      if (!row.ok()) return row.status();
+      inserted_row = row.value();
       PHOEBE_RETURN_IF_ERROR(leaf.EraseRow(slot));
       break;
     }
     case UndoKind::kUpdate: {
-      std::string cur;
-      PHOEBE_RETURN_IF_ERROR(leaf.ReadRow(slot, &cur));
-      Result<std::string> before =
-          DeltaCodec::ApplyDelta(schema_, cur, rec->delta());
+      Result<Slice> cur = leaf.ReadRowTo(slot, arena);
+      if (!cur.ok()) return cur.status();
+      Result<Slice> before =
+          DeltaCodec::ApplyDeltaTo(schema_, cur.value(), rec->delta(), arena);
       if (!before.ok()) return before.status();
       PHOEBE_RETURN_IF_ERROR(
           leaf.UpdateRow(slot, RowView(&schema_, before.value().data())));
@@ -1027,14 +982,11 @@ Status Table::RollbackRecord(OpContext* ctx, Transaction* txn,
 
   if (rec->kind == UndoKind::kInsert) {
     // Remove the index entries added by the aborted insert.
-    RowView view(&schema_, old_row_for_index.data());
-    for (auto& idx : indexes_) {
-      Result<std::string> key =
-          EncodeKeyFromRow(schema_, idx->key_columns, view);
-      if (!key.ok()) return key.status();
-      PHOEBE_RETURN_IF_ERROR(
-          IndexRemoveEntry(&sync, *idx, key.value(), rec->rid));
-    }
+    return ForEachIndexKey(RowView(&schema_, inserted_row.data()), arena,
+                           [&](IndexDef& idx, Slice key) {
+                             return IndexRemoveEntry(&sync, idx, key,
+                                                     rec->rid);
+                           });
   }
   return Status::OK();
 }
@@ -1043,6 +995,7 @@ void Table::OnUndoReclaimed(OpContext* ctx, const UndoRecord& rec) {
   OpContext sync;
   sync.InitSyncViewOf(*ctx);
   sync.count_accesses = false;
+  Arena* arena = ScratchOf(ctx, nullptr);
   if (rec.kind == UndoKind::kDelete) {
     // Physically purge the tuple and its index entries (Section 7.3).
     LeafGuard g;
@@ -1053,38 +1006,27 @@ void Table::OnUndoReclaimed(OpContext* ctx, const UndoRecord& rec) {
     if (!leaf.InRange(rec.rid)) return;
     uint16_t slot = leaf.SlotOf(rec.rid);
     if (!leaf.IsLive(slot) || !leaf.IsDeleted(slot)) return;
-    std::string row;
-    if (!leaf.ReadRow(slot, &row).ok()) return;
+    Result<Slice> row = leaf.ReadRowTo(slot, arena);
+    if (!row.ok()) return;
     if (!leaf.EraseRow(slot).ok()) return;
     g.frame()->dirty.store(true, std::memory_order_release);
     g.Release();
-    RowView view(&schema_, row.data());
-    for (auto& idx : indexes_) {
-      Result<std::string> key =
-          EncodeKeyFromRow(schema_, idx->key_columns, view);
-      if (key.ok()) {
-        (void)IndexRemoveEntry(&sync, *idx, key.value(), rec.rid);
-      }
-    }
+    (void)ForEachIndexKey(RowView(&schema_, row.value().data()), arena,
+                          [&](IndexDef& idx, Slice key) {
+                            (void)IndexRemoveEntry(&sync, idx, key, rec.rid);
+                            return Status::OK();
+                          });
   } else if (rec.kind == UndoKind::kUpdate) {
     // Stale index entries after key-changing updates: the before values of
     // key columns live in the delta.
-    Result<std::vector<uint32_t>> touched =
-        DeltaCodec::TouchedColumns(schema_, rec.delta());
-    if (!touched.ok()) return;
     for (auto& idx : indexes_) {
-      bool affects = false;
-      for (uint32_t c : idx->key_columns) {
-        if (std::find(touched.value().begin(), touched.value().end(), c) !=
-            touched.value().end()) {
-          affects = true;
-          break;
-        }
-      }
-      if (!affects) continue;
+      Result<bool> affects =
+          DeltaCodec::TouchesAny(schema_, rec.delta(), idx->key_columns);
+      if (!affects.ok()) return;
+      if (!affects.value()) continue;
       // Reconstruct the before image from the current row + delta and drop
       // its (now stale) entry.
-      std::string cur;
+      Slice cur;
       {
         LeafGuard g;
         Status st = tree_->FixLeaf(&sync, BTree::TableKey(rec.rid),
@@ -1094,17 +1036,18 @@ void Table::OnUndoReclaimed(OpContext* ctx, const UndoRecord& rec) {
         if (!leaf.InRange(rec.rid)) return;
         uint16_t slot = leaf.SlotOf(rec.rid);
         if (!leaf.IsLive(slot)) return;
-        if (!leaf.ReadRow(slot, &cur).ok()) return;
+        Result<Slice> row = leaf.ReadRowTo(slot, arena);
+        if (!row.ok()) return;
+        cur = row.value();
       }
-      Result<std::string> before =
-          DeltaCodec::ApplyDelta(schema_, cur, rec.delta());
+      Result<Slice> before =
+          DeltaCodec::ApplyDeltaTo(schema_, cur, rec.delta(), arena);
       if (!before.ok()) return;
-      RowView before_view(&schema_, before.value().data());
-      Result<std::string> old_key =
-          EncodeKeyFromRow(schema_, idx->key_columns, before_view);
-      RowView cur_view(&schema_, cur.data());
-      Result<std::string> cur_key =
-          EncodeKeyFromRow(schema_, idx->key_columns, cur_view);
+      Result<Slice> old_key = EncodeKey(
+          schema_, idx->key_columns, RowView(&schema_, before.value().data()),
+          arena);
+      Result<Slice> cur_key = EncodeKey(schema_, idx->key_columns,
+                                        RowView(&schema_, cur.data()), arena);
       if (old_key.ok() && cur_key.ok() &&
           old_key.value() != cur_key.value()) {
         (void)IndexRemoveEntry(&sync, *idx, old_key.value(), rec.rid);
@@ -1124,6 +1067,7 @@ Result<int> Table::FreezePass(OpContext* ctx, int max_leaves) {
   int frozen_count = 0;
   const uint32_t epoch = deps_->pool->current_epoch();
   const auto& opts = *deps_->options;
+  Arena scratch;
 
   while (frozen_count < max_leaves) {
     RowId start = frozen_->max_frozen_row_id() + 1;
@@ -1152,15 +1096,15 @@ Result<int> Table::FreezePass(OpContext* ctx, int max_leaves) {
         range_end = leaf_end - 1;
         for (uint16_t s = 0; s < leaf.capacity(); ++s) {
           if (!leaf.IsLive(s) || leaf.IsDeleted(s)) continue;
-          std::string row;
-          st = leaf.ReadRow(s, &row);
-          if (!st.ok()) return Result<int>(st);
+          Result<Slice> row = leaf.ReadRowTo(s, &scratch);
+          if (!row.ok()) return Result<int>(row.status());
           rids.push_back(leaf.first_row_id() + s);
-          rows.push_back(std::move(row));
+          rows.push_back(row.value().ToString());
         }
       }
     }
     if (!eligible) break;
+    scratch.Reset();
     PHOEBE_RETURN_IF_ERROR(frozen_->FreezeBlock(rids, rows, range_end));
     Status st = tree_->DetachTableLeaf(&sync, start);
     if (!st.ok() && !st.IsNotFound()) return Result<int>(st);
@@ -1198,14 +1142,11 @@ Status Table::WarmRow(OpContext* ctx, Transaction* txn, RowId frozen_rid,
   deps_->wal->LogData(txn, WalRecordType::kDelete, w.LoadGsn(),
                       WalRecordCodec::DataPayload(id_, frozen_rid, Slice()));
   // Replace index entries: old rid out, new rid in (done inside Insert).
-  RowView view(&schema_, row.data());
-  for (auto& idx : indexes_) {
-    Result<std::string> key =
-        EncodeKeyFromRow(schema_, idx->key_columns, view);
-    if (!key.ok()) return key.status();
-    PHOEBE_RETURN_IF_ERROR(IndexRemoveEntry(ctx, *idx, key.value(),
-                                            frozen_rid));
-  }
+  PHOEBE_RETURN_IF_ERROR(ForEachIndexKey(
+      RowView(&schema_, row.data()), ScratchOf(ctx, txn),
+      [&](IndexDef& idx, Slice key) {
+        return IndexRemoveEntry(ctx, idx, key, frozen_rid);
+      }));
   RowId rid = 0;
   PHOEBE_RETURN_IF_ERROR(Insert(ctx, txn, row, &rid));
   *new_rid = rid;
@@ -1251,9 +1192,10 @@ Status Table::ReplayInsert(OpContext* ctx, RowId rid, Slice row) {
     }
     break;
   }
+  Arena* arena = ScratchOf(ctx, nullptr);
   RowView view(&schema_, row.data());
   for (auto& idx : indexes_) {
-    Result<std::string> key = EncodeKeyFromRow(schema_, idx->key_columns, view);
+    Result<Slice> key = EncodeKey(schema_, idx->key_columns, view, arena);
     if (!key.ok()) return key.status();
     std::string entry_key = IndexEntryKey(*idx, key.value(), rid);
     Status st = idx->tree->IndexInsert(ctx, entry_key, rid);
@@ -1295,35 +1237,28 @@ Status Table::ReplayUpdate(OpContext* ctx, RowId rid, Slice after_delta) {
   if (!leaf.InRange(rid) || !leaf.IsLive(slot = leaf.SlotOf(rid))) {
     return Status::OK();  // row purged later in history; ignore
   }
-  std::string cur;
-  PHOEBE_RETURN_IF_ERROR(leaf.ReadRow(slot, &cur));
-  Result<std::string> next = DeltaCodec::ApplyDelta(schema_, cur, after_delta);
+  Arena* arena = ScratchOf(ctx, nullptr);
+  Result<Slice> cur = leaf.ReadRowTo(slot, arena);
+  if (!cur.ok()) return cur.status();
+  Result<Slice> next =
+      DeltaCodec::ApplyDeltaTo(schema_, cur.value(), after_delta, arena);
   if (!next.ok()) return next.status();
-  PHOEBE_RETURN_IF_ERROR(
-      leaf.UpdateRow(slot, RowView(&schema_, next.value().data())));
+  RowView old_view(&schema_, cur.value().data());
+  RowView new_view(&schema_, next.value().data());
+  PHOEBE_RETURN_IF_ERROR(leaf.UpdateRow(slot, new_view));
   g.frame()->dirty.store(true, std::memory_order_release);
   g.Release();
 
   // Key-changing updates: refresh index entries.
-  Result<std::vector<uint32_t>> touched =
-      DeltaCodec::TouchedColumns(schema_, after_delta);
-  if (!touched.ok()) return touched.status();
-  RowView old_view(&schema_, cur.data());
-  RowView new_view(&schema_, next.value().data());
   for (auto& idx : indexes_) {
-    bool affects = false;
-    for (uint32_t c : idx->key_columns) {
-      if (std::find(touched.value().begin(), touched.value().end(), c) !=
-          touched.value().end()) {
-        affects = true;
-        break;
-      }
-    }
-    if (!affects) continue;
-    Result<std::string> old_key =
-        EncodeKeyFromRow(schema_, idx->key_columns, old_view);
-    Result<std::string> new_key =
-        EncodeKeyFromRow(schema_, idx->key_columns, new_view);
+    Result<bool> affects =
+        DeltaCodec::TouchesAny(schema_, after_delta, idx->key_columns);
+    if (!affects.ok()) return affects.status();
+    if (!affects.value()) continue;
+    Result<Slice> old_key =
+        EncodeKey(schema_, idx->key_columns, old_view, arena);
+    Result<Slice> new_key =
+        EncodeKey(schema_, idx->key_columns, new_view, arena);
     if (!old_key.ok() || !new_key.ok()) continue;
     if (old_key.value() == new_key.value()) continue;
     (void)IndexRemoveEntry(ctx, *idx, old_key.value(), rid);
@@ -1341,22 +1276,19 @@ Status Table::ReplayDelete(OpContext* ctx, RowId rid) {
   TableLeaf leaf(g.page(), &schema_, &layout_);
   uint16_t slot;
   if (leaf.InRange(rid) && leaf.IsLive(slot = leaf.SlotOf(rid))) {
-    std::string row;
-    PHOEBE_RETURN_IF_ERROR(leaf.ReadRow(slot, &row));
+    Arena* arena = ScratchOf(ctx, nullptr);
+    Result<Slice> row = leaf.ReadRowTo(slot, arena);
+    if (!row.ok()) return row.status();
     PHOEBE_RETURN_IF_ERROR(leaf.SetDeleted(slot, true));
     g.frame()->dirty.store(true, std::memory_order_release);
     g.Release();
     // In forward operation the index entry outlives the delete until GC
     // purges it; replay has no GC, so drop it now — otherwise a replayed
     // re-insert of the same unique key can never claim the mapping.
-    RowView view(&schema_, row.data());
-    for (auto& idx : indexes_) {
-      Result<std::string> key =
-          EncodeKeyFromRow(schema_, idx->key_columns, view);
-      if (!key.ok()) return key.status();
-      PHOEBE_RETURN_IF_ERROR(IndexRemoveEntry(ctx, *idx, key.value(), rid));
-    }
-    return Status::OK();
+    return ForEachIndexKey(RowView(&schema_, row.value().data()), arena,
+                           [&](IndexDef& idx, Slice key) {
+                             return IndexRemoveEntry(ctx, idx, key, rid);
+                           });
   }
   g.Release();
   // Row not in the tree: it was frozen before the checkpoint; tombstone it.

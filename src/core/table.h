@@ -189,26 +189,22 @@ class Table {
 
   /// --- Key encoding ------------------------------------------------------------
 
-  /// Order-preserving encoding of index key values (int32/int64: big-endian
-  /// sign-flipped; string: bytes + 0x00 terminator).
-  static Result<std::string> EncodeKeyValues(const Schema& schema,
-                                             const std::vector<uint32_t>& cols,
-                                             const std::vector<Value>& values);
-  static Result<std::string> EncodeKeyFromRow(const Schema& schema,
-                                              const std::vector<uint32_t>& cols,
-                                              RowView row);
-  /// Scratch-buffer variants: clear `out` and encode into it, reusing its
-  /// capacity. Callers hoist one std::string across secondary-index probe
-  /// loops so steady state performs zero key-encoding allocations.
-  static Status EncodeKeyValuesTo(const Schema& schema,
-                                  const std::vector<uint32_t>& cols,
-                                  const std::vector<Value>& values,
-                                  std::string* out);
-  static Status EncodeKeyFromRowTo(const Schema& schema,
-                                   const std::vector<uint32_t>& cols,
-                                   RowView row, std::string* out);
-  /// Smallest key strictly greater than every key with prefix `key`.
-  static std::string PrefixSuccessor(const std::string& key);
+  /// The index-key format: an order-preserving encoding of the key columns
+  /// (int32/int64: sign-flipped big-endian, 8 bytes; string: bytes + 0x00
+  /// terminator; a null column encodes as 0 / the empty string). The value
+  /// form encodes the first values.size() columns of `cols` (a key prefix,
+  /// for range scans); the row form encodes all of them. The key lives in
+  /// `arena` until it resets.
+  static Result<Slice> EncodeKey(const Schema& schema,
+                                 const std::vector<uint32_t>& cols,
+                                 const std::vector<Value>& values,
+                                 Arena* arena);
+  static Result<Slice> EncodeKey(const Schema& schema,
+                                 const std::vector<uint32_t>& cols,
+                                 RowView row, Arena* arena);
+  /// Turns `key[0..n)` into the smallest key strictly greater than every key
+  /// it prefixes, in place; returns the new length (0 = unbounded).
+  static size_t PrefixSuccessor(char* key, size_t n);
 
   RowId next_row_id() const {
     return next_row_id_.load(std::memory_order_relaxed);
@@ -252,8 +248,14 @@ class Table {
 
   /// Resolves the arena for this operation: an explicit `ctx->arena`
   /// override if set, else the transaction slot's scratch arena. Never
-  /// cached into `ctx` (an OpContext may outlive the engine instance).
+  /// cached into `ctx` (an OpContext may outlive the engine instance). GC
+  /// and replay run without a transaction; their contexts carry the arena.
   Arena* ScratchOf(OpContext* ctx, Transaction* txn);
+
+  /// Encodes `row`'s key for every secondary index into `arena` and calls
+  /// `fn(IndexDef&, Slice key) -> Status`, stopping at the first error.
+  template <typename Fn>
+  Status ForEachIndexKey(RowView row, Arena* arena, Fn&& fn);
 
   EngineDeps* deps_;
   std::string name_;

@@ -67,7 +67,9 @@ Result<std::string> FrozenBlockCodec::Encode(
                       : col.type == ColumnType::kInt32
                           ? views[i].GetInt32(c)
                           : views[i].GetInt64(c);
-          PutVarint64(&body, static_cast<uint64_t>(v - min_v));
+          // Unsigned: the span of a column can exceed INT64_MAX.
+          PutVarint64(&body, static_cast<uint64_t>(v) -
+                                 static_cast<uint64_t>(min_v));
         }
         break;
       }
@@ -218,7 +220,10 @@ Status FrozenBlockCodec::DecodeColumnInt64(
           uint64_t d = 0;
           if (!GetVarint64(in, &d)) return Status::Corruption("FOR");
           if ((bitmap[i / 8] >> (i % 8)) & 1) continue;  // null
-          if (!fn(rids[i], min_v + static_cast<int64_t>(d))) break;
+          if (!fn(rids[i],
+                  static_cast<int64_t>(static_cast<uint64_t>(min_v) + d))) {
+            break;
+          }
         }
         return Status::OK();
       });
@@ -301,7 +306,7 @@ Result<FrozenBlockCodec::DecodedBlock> FrozenBlockCodec::Decode(
         for (uint32_t i = 0; i < n; ++i) {
           uint64_t d = 0;
           if (!GetVarint64(&in, &d)) return R(Status::Corruption("FOR"));
-          int64_t v = min_v + static_cast<int64_t>(d);
+          int64_t v = static_cast<int64_t>(static_cast<uint64_t>(min_v) + d);
           if (is_null(i)) {
             builders[i].SetNull(c);
           } else if (col.type == ColumnType::kInt32) {

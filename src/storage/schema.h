@@ -2,16 +2,16 @@
 #define PHOEBE_STORAGE_SCHEMA_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/slice.h"
 #include "common/status.h"
 
 namespace phoebe {
-
-class Arena;
 
 /// Column types supported by the storage engine. Strings are
 /// bounded-length (CHAR/VARCHAR(n)); timestamps/decimals map onto
@@ -155,6 +155,79 @@ class RowView {
   const char* data_ = nullptr;
 };
 
+/// The one writer of the row format: every encoded row (RowBuilder,
+/// PatchRowTo, DeltaCodec::ApplyDeltaTo, TableLeaf::ReadRowTo) comes out of
+/// this loop. `src` supplies the column values through
+///   bool IsNull(size_t col); int32_t Int32(size_t col);
+///   int64_t Int64(size_t col); double Double(size_t col);
+///   Slice String(size_t col);
+/// and is a template parameter so the per-column reads inline. Null columns
+/// get a set bitmap bit and a zeroed fixed slot; the string heap is laid out
+/// in column order. `out` must hold schema.max_row_size() bytes. Returns the
+/// encoded size, or 0 (no row is that short) when a string exceeds its
+/// column's max_len or the row exceeds 64 KiB.
+template <typename Source>
+size_t WriteRow(const Schema& schema, const Source& src, char* out) {
+  const size_t ncols = schema.num_columns();
+  const size_t fixed_base = 2 + schema.null_bitmap_bytes();
+  size_t pos = fixed_base + schema.fixed_area_size();
+  memset(out, 0, pos);
+  for (size_t i = 0; i < ncols; ++i) {
+    if (src.IsNull(i)) {
+      out[2 + i / 8] = static_cast<char>(
+          static_cast<uint8_t>(out[2 + i / 8]) | (1u << (i % 8)));
+      continue;
+    }
+    const ColumnDef& def = schema.column(i);
+    char* slot = out + fixed_base + schema.fixed_offset(i);
+    switch (def.type) {
+      case ColumnType::kInt32: {
+        int32_t x = src.Int32(i);
+        memcpy(slot, &x, 4);
+        break;
+      }
+      case ColumnType::kInt64: {
+        int64_t x = src.Int64(i);
+        memcpy(slot, &x, 8);
+        break;
+      }
+      case ColumnType::kDouble: {
+        double x = src.Double(i);
+        memcpy(slot, &x, 8);
+        break;
+      }
+      case ColumnType::kString: {
+        Slice s = src.String(i);
+        if (s.size() > def.max_len) return 0;
+        uint16_t off = static_cast<uint16_t>(pos);
+        uint16_t slen = static_cast<uint16_t>(s.size());
+        memcpy(slot, &off, 2);
+        memcpy(slot + 2, &slen, 2);
+        if (!s.empty()) memcpy(out + pos, s.data(), s.size());
+        pos += s.size();
+        break;
+      }
+    }
+  }
+  if (pos > 0xFFFF) return 0;
+  uint16_t total = static_cast<uint16_t>(pos);
+  memcpy(out, &total, 2);
+  return pos;
+}
+
+/// WriteRow into `arena`: the row is bump-allocated at its worst-case size
+/// and trimmed; the slice lives until the arena resets.
+template <typename Source>
+Result<Slice> WriteRowTo(const Schema& schema, const Source& src,
+                         Arena* arena) {
+  const size_t cap = schema.max_row_size();
+  char* buf = arena->Allocate(cap);
+  size_t len = WriteRow(schema, src, buf);
+  arena->ShrinkLast(buf, cap, len);
+  if (len == 0) return Status::InvalidArgument("row does not fit its schema");
+  return Slice(buf, len);
+}
+
 /// Builder producing encoded rows.
 class RowBuilder {
  public:
@@ -176,15 +249,22 @@ class RowBuilder {
   /// Encodes the row. All non-nullable columns must have been set.
   Result<std::string> Encode() const;
 
-  /// Allocation-reusing variants of Encode, byte-identical to it (verified
-  /// by codec_fuzz_test). EncodeTo(std::string*) reuses `out`'s capacity;
-  /// EncodeTo(Arena*) bump-allocates the row in the transaction arena and
-  /// returns a slice valid until the arena resets.
-  Status EncodeTo(std::string* out) const;
+  /// Encodes the row into `arena` (the transaction hot path); the slice is
+  /// valid until the arena resets.
   Result<Slice> EncodeTo(Arena* arena) const;
 
+  /// WriteRow source interface (unset columns read as null).
+  bool IsNull(size_t col) const { return !set_[col] || values_[col].is_null; }
+  int32_t Int32(size_t col) const {
+    return static_cast<int32_t>(values_[col].i64);
+  }
+  int64_t Int64(size_t col) const { return values_[col].i64; }
+  double Double(size_t col) const { return values_[col].f64; }
+  Slice String(size_t col) const { return values_[col].str_ref(); }
+
  private:
-  Status EncodeRaw(char* out, size_t cap, size_t* len) const;
+  /// Every non-nullable column set, every string within its max_len.
+  Status Validate() const;
 
   const Schema* schema_;
   std::vector<Value> values_;
@@ -192,48 +272,40 @@ class RowBuilder {
 };
 
 /// Patches an encoded row with explicit column updates, producing the new
-/// encoded row in `arena` without going through RowBuilder. Byte-identical
-/// to re-building the row via RowBuilder with the same final values. Used by
+/// encoded row in `arena` without going through RowBuilder. Used by
 /// Table::UpdateApply; `old_row`'s bytes must stay valid during the call.
 Result<Slice> PatchRowTo(const Schema& schema, RowView old_row,
                          const std::pair<uint32_t, Value>* sets, size_t nsets,
                          Arena* arena);
 
-/// Before-image delta codec for UNDO logs (Section 6.2): records only the
-/// columns that changed. Format:
+/// Before-image delta codec for UNDO logs (Section 6.2) and after-image
+/// deltas for WAL update records: records only the columns that changed.
+/// Format:
 ///   [varint32 column_count] then per column: [varint32 col][u8 null]
 ///   [payload: fixed width or varint-length-prefixed string]
+/// MakeDeltaTo is the format's one writer; ApplyDeltaTo and TouchesAny share
+/// its one reader. Returned slices live until the arena resets.
 class DeltaCodec {
  public:
-  /// Computes the delta holding the *old* values of every column where old
-  /// and new rows differ. Empty string when no column changed.
-  static std::string ComputeBeforeDelta(const Schema& schema, RowView old_row,
-                                        RowView new_row);
-
-  /// Builds a delta holding the old values of an explicit column set.
-  static std::string MakeDelta(const Schema& schema, RowView old_row,
-                               const std::vector<uint32_t>& columns);
-
-  /// Applies a before-image delta onto `row` (an encoded row), producing the
-  /// earlier version.
-  static Result<std::string> ApplyDelta(const Schema& schema, Slice row,
-                                        Slice delta);
-
-  /// Arena variants, byte-identical to the std::string forms above
-  /// (verified by codec_fuzz_test); returned slices live until the arena
-  /// resets. ApplyDeltaTo patches the encoded row directly instead of
-  /// round-tripping every column through RowBuilder.
-  static Slice ComputeBeforeDeltaTo(const Schema& schema, RowView old_row,
-                                    RowView new_row, Arena* arena);
-  static Slice MakeDeltaTo(const Schema& schema, RowView old_row,
+  /// Builds a delta holding `row`'s values of an explicit column set.
+  static Slice MakeDeltaTo(const Schema& schema, RowView row,
                            const uint32_t* columns, size_t ncols,
                            Arena* arena);
+
+  /// Delta holding the *old* values of every column where old and new rows
+  /// differ (zero columns when none changed).
+  static Slice ComputeBeforeDeltaTo(const Schema& schema, RowView old_row,
+                                    RowView new_row, Arena* arena);
+
+  /// Applies a delta onto `row` (an encoded row): a before-image yields the
+  /// earlier version, an after-image the later one.
   static Result<Slice> ApplyDeltaTo(const Schema& schema, Slice row,
                                     Slice delta, Arena* arena);
 
-  /// Lists the columns touched by a delta (for index-maintenance checks).
-  static Result<std::vector<uint32_t>> TouchedColumns(const Schema& schema,
-                                                      Slice delta);
+  /// True iff the delta carries any of `columns` (index-maintenance checks
+  /// in GC and replay). Allocation-free.
+  static Result<bool> TouchesAny(const Schema& schema, Slice delta,
+                                 const std::vector<uint32_t>& columns);
 };
 
 }  // namespace phoebe

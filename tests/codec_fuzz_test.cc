@@ -1,11 +1,13 @@
-// Randomized round-trip equivalence between the legacy string-returning
-// codec paths and the allocation-reusing EncodeTo/*To variants introduced
-// for the arena hot path. The arena variants must be byte-identical to the
-// legacy ones across arbitrary schemas, null patterns, and string lengths,
-// and arena reuse across many Reset cycles must never leak stale bytes
+// Randomized oracles for the row and delta codecs. Each format has exactly
+// one writer, so the checks compare against the values that went in rather
+// than against a second encoder: every value reads back unchanged, deltas
+// undo and redo updates byte for byte, the patch, delta and PAX paths agree
+// with a fresh RowBuilder encode, and the touched-column check matches the
+// update. Arena reuse across many Reset cycles must never leak stale bytes
 // into fresh encodings (ASan poisoning turns stale reads into faults).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "common/arena.h"
 #include "common/random.h"
 #include "storage/schema.h"
+#include "storage/table_leaf.h"
 
 namespace phoebe {
 namespace {
@@ -70,9 +73,34 @@ std::string BuildRow(const Schema& s, const std::vector<Value>& vals) {
   return r.value();
 }
 
-/// One fuzz iteration: random schema + row, all encode variants, a random
-/// mutation, and all delta variants. `arena` is shared across iterations and
-/// reset by the caller to exercise block recycling.
+/// Every column of `row` reads back as the value that was set.
+void ExpectRowHolds(const Schema& s, RowView row,
+                    const std::vector<Value>& vals) {
+  for (size_t i = 0; i < vals.size(); ++i) {
+    SCOPED_TRACE("column " + std::to_string(i));
+    const Value& v = vals[i];
+    ASSERT_EQ(row.IsNull(i), v.is_null);
+    if (v.is_null) continue;
+    switch (s.column(i).type) {
+      case ColumnType::kInt32:
+        EXPECT_EQ(row.GetInt32(i), static_cast<int32_t>(v.i64));
+        break;
+      case ColumnType::kInt64:
+        EXPECT_EQ(row.GetInt64(i), v.i64);
+        break;
+      case ColumnType::kDouble:
+        EXPECT_EQ(row.GetDouble(i), v.f64);
+        break;
+      case ColumnType::kString:
+        EXPECT_EQ(row.GetString(i), v.str_ref());
+        break;
+    }
+  }
+}
+
+/// One fuzz iteration: random schema + row, a random update, and every
+/// codec path checked against the values. `arena` is shared across
+/// iterations and reset by the caller to exercise block recycling.
 void FuzzOnce(Random* rng, Arena* arena) {
   Schema s = RandomSchema(rng);
   std::vector<Value> vals;
@@ -80,9 +108,8 @@ void FuzzOnce(Random* rng, Arena* arena) {
     vals.push_back(RandomValue(s.column(i), rng));
   }
 
-  // --- Encode() vs EncodeTo(std::string*) vs EncodeTo(Arena*). Mix owned
-  // and borrowed string values: SetStringRef must encode identically to
-  // SetString for the same bytes.
+  // --- Values read back, for both encode entry points. Borrowed strings
+  // (SetStringRef) must encode exactly like owned ones.
   RowBuilder b(&s);
   for (size_t i = 0; i < vals.size(); ++i) {
     const Value& v = vals[i];
@@ -92,17 +119,26 @@ void FuzzOnce(Random* rng, Arena* arena) {
       b.Set(i, v);
     }
   }
-  auto legacy = b.Encode();
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  std::string to_string_out = "stale bytes from a previous run";
-  ASSERT_TRUE(b.EncodeTo(&to_string_out).ok());
-  EXPECT_EQ(legacy.value(), to_string_out);
+  auto encoded = b.Encode();
+  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+  std::string old_row = encoded.value();
+  RowView old_view(&s, old_row.data());
+  ASSERT_EQ(old_view.size(), old_row.size());
+  ExpectRowHolds(s, old_view, vals);
   auto to_arena = b.EncodeTo(arena);
   ASSERT_TRUE(to_arena.ok());
-  EXPECT_EQ(Slice(legacy.value()), to_arena.value());
+  EXPECT_EQ(Slice(old_row), to_arena.value());
 
-  std::string old_row = legacy.value();
-  RowView old_view(&s, old_row.data());
+  // --- A PAX round trip rebuilds the same bytes from the minipages.
+  TableLeafLayout layout = TableLeafLayout::Compute(s);
+  std::vector<char> page(kPageSize);
+  TableLeaf::Init(page.data(), s, layout, /*first_row_id=*/1);
+  TableLeaf leaf(page.data(), &s, &layout);
+  uint16_t slot = static_cast<uint16_t>(rng->Uniform(layout.capacity()));
+  ASSERT_TRUE(leaf.InsertRow(slot, old_view).ok());
+  auto from_pax = leaf.ReadRowTo(slot, arena);
+  ASSERT_TRUE(from_pax.ok()) << from_pax.status().ToString();
+  EXPECT_EQ(Slice(old_row), from_pax.value());
 
   // --- Mutate a random non-empty column subset.
   std::vector<uint32_t> touched;
@@ -123,43 +159,38 @@ void FuzzOnce(Random* rng, Arena* arena) {
     new_vals[i] = nv;
   }
 
-  // --- PatchRowTo == full RowBuilder re-encode with the same final values.
+  // --- PatchRowTo equals a fresh RowBuilder encode of the final values.
   std::string new_row = BuildRow(s, new_vals);
+  RowView new_view(&s, new_row.data());
+  ExpectRowHolds(s, new_view, new_vals);
   auto patched = PatchRowTo(s, old_view, sets.data(), sets.size(), arena);
   ASSERT_TRUE(patched.ok()) << patched.status().ToString();
   EXPECT_EQ(Slice(new_row), patched.value());
-  RowView new_view(&s, new_row.data());
 
-  // --- MakeDelta == MakeDeltaTo over the explicit column set.
-  std::string delta = DeltaCodec::MakeDelta(s, old_view, touched);
-  Slice delta_to = DeltaCodec::MakeDeltaTo(s, old_view, touched.data(),
-                                           touched.size(), arena);
-  EXPECT_EQ(Slice(delta), delta_to);
-
-  // --- ComputeBeforeDelta == ComputeBeforeDeltaTo over old/new rows.
-  std::string before = DeltaCodec::ComputeBeforeDelta(s, old_view, new_view);
-  Slice before_to = DeltaCodec::ComputeBeforeDeltaTo(s, old_view, new_view,
-                                                     arena);
-  EXPECT_EQ(Slice(before), before_to);
-
-  // --- ApplyDelta == ApplyDeltaTo, and both undo the mutation. `before`
-  // holds old values of columns that actually differ, so applying it to the
-  // new row must reproduce the old row exactly.
-  auto undone = DeltaCodec::ApplyDelta(s, Slice(new_row), Slice(before));
+  // --- The before-delta undoes the update byte for byte.
+  Slice before = DeltaCodec::ComputeBeforeDeltaTo(s, old_view, new_view,
+                                                  arena);
+  auto undone = DeltaCodec::ApplyDeltaTo(s, new_row, before, arena);
   ASSERT_TRUE(undone.ok()) << undone.status().ToString();
-  auto undone_to = DeltaCodec::ApplyDeltaTo(s, Slice(new_row), Slice(before),
-                                            arena);
-  ASSERT_TRUE(undone_to.ok()) << undone_to.status().ToString();
-  EXPECT_EQ(undone.value(), old_row);
-  EXPECT_EQ(Slice(undone.value()), undone_to.value());
+  EXPECT_EQ(Slice(old_row), undone.value());
 
-  // --- TouchedColumns round-trips the explicit-set delta.
-  auto cols = DeltaCodec::TouchedColumns(s, Slice(delta));
-  ASSERT_TRUE(cols.ok());
-  EXPECT_EQ(touched, cols.value());
+  // --- The after-delta (WAL update payload) redoes it.
+  Slice after = DeltaCodec::MakeDeltaTo(s, new_view, touched.data(),
+                                        touched.size(), arena);
+  auto redone = DeltaCodec::ApplyDeltaTo(s, old_row, after, arena);
+  ASSERT_TRUE(redone.ok()) << redone.status().ToString();
+  EXPECT_EQ(Slice(new_row), redone.value());
+
+  // --- The touched-column check agrees with the update's column set.
+  for (uint32_t col = 0; col < s.num_columns(); ++col) {
+    auto hit = DeltaCodec::TouchesAny(s, after, {col});
+    ASSERT_TRUE(hit.ok());
+    EXPECT_EQ(hit.value(), std::count(touched.begin(), touched.end(), col) > 0)
+        << "column " << col;
+  }
 }
 
-TEST(CodecFuzzTest, LegacyAndArenaVariantsAreByteIdentical) {
+TEST(CodecFuzzTest, RandomRowsRoundTripThroughEveryCodecPath) {
   Random rng(20260808);
   Arena arena;
   for (int iter = 0; iter < 400; ++iter) {

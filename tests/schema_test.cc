@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "common/random.h"
+#include "core/table.h"
+#include "storage/table_leaf.h"
 #include "tests/test_util.h"
 
 namespace phoebe {
@@ -109,19 +112,25 @@ TEST(DeltaCodecTest, BeforeDeltaRoundTrip) {
       .SetString(4, "keep");
   std::string new_row = b2.Encode().value();
 
+  Arena arena;
   RowView old_view(&s, old_row.data());
   RowView new_view(&s, new_row.data());
-  std::string delta = DeltaCodec::ComputeBeforeDelta(s, old_view, new_view);
+  Slice delta = DeltaCodec::ComputeBeforeDeltaTo(s, old_view, new_view, &arena);
   EXPECT_FALSE(delta.empty());
 
   // Applying the before-delta onto the new row reconstructs the old row.
-  Result<std::string> back = DeltaCodec::ApplyDelta(s, new_row, delta);
+  Result<Slice> back = DeltaCodec::ApplyDeltaTo(s, new_row, delta, &arena);
   ASSERT_OK_R(back);
-  EXPECT_EQ(back.value(), old_row);
+  EXPECT_EQ(back.value(), Slice(old_row));
 
-  Result<std::vector<uint32_t>> touched = DeltaCodec::TouchedColumns(s, delta);
-  ASSERT_OK_R(touched);
-  EXPECT_EQ(touched.value(), (std::vector<uint32_t>{1, 2, 3}));
+  // Columns 1, 2 and 3 changed; 0 and 4 did not.
+  for (uint32_t col = 0; col < 5; ++col) {
+    Result<bool> touched = DeltaCodec::TouchesAny(s, delta, {col});
+    ASSERT_OK_R(touched);
+    EXPECT_EQ(touched.value(), col >= 1 && col <= 3) << col;
+  }
+  EXPECT_TRUE(DeltaCodec::TouchesAny(s, delta, {0, 4, 2}).value());
+  EXPECT_FALSE(DeltaCodec::TouchesAny(s, delta, {}).value());
 }
 
 TEST(DeltaCodecTest, NoChangeProducesEmptyColumnSet) {
@@ -130,13 +139,14 @@ TEST(DeltaCodecTest, NoChangeProducesEmptyColumnSet) {
   b.SetInt32(0, 1).SetInt64(1, 2).SetString(3, "same");
   std::string row = b.Encode().value();
   RowView v(&s, row.data());
-  std::string delta = DeltaCodec::ComputeBeforeDelta(s, v, v);
-  Result<std::vector<uint32_t>> touched = DeltaCodec::TouchedColumns(s, delta);
+  Arena arena;
+  Slice delta = DeltaCodec::ComputeBeforeDeltaTo(s, v, v, &arena);
+  Result<bool> touched = DeltaCodec::TouchesAny(s, delta, {0, 1, 2, 3, 4});
   ASSERT_OK_R(touched);
-  EXPECT_TRUE(touched.value().empty());
-  Result<std::string> same = DeltaCodec::ApplyDelta(s, row, delta);
+  EXPECT_FALSE(touched.value());
+  Result<Slice> same = DeltaCodec::ApplyDeltaTo(s, row, delta, &arena);
   ASSERT_OK_R(same);
-  EXPECT_EQ(same.value(), row);
+  EXPECT_EQ(same.value(), Slice(row));
 }
 
 TEST(DeltaCodecTest, NullTransitions) {
@@ -149,11 +159,12 @@ TEST(DeltaCodecTest, NullTransitions) {
       .SetString(4, "now");
   std::string new_row = b2.Encode().value();  // c=null, e="now"
 
-  std::string delta = DeltaCodec::ComputeBeforeDelta(
-      s, RowView(&s, old_row.data()), RowView(&s, new_row.data()));
-  Result<std::string> back = DeltaCodec::ApplyDelta(s, new_row, delta);
+  Arena arena;
+  Slice delta = DeltaCodec::ComputeBeforeDeltaTo(
+      s, RowView(&s, old_row.data()), RowView(&s, new_row.data()), &arena);
+  Result<Slice> back = DeltaCodec::ApplyDeltaTo(s, new_row, delta, &arena);
   ASSERT_OK_R(back);
-  EXPECT_EQ(back.value(), old_row);
+  EXPECT_EQ(back.value(), Slice(old_row));
 }
 
 TEST(DeltaCodecTest, CorruptDeltaRejected) {
@@ -161,7 +172,13 @@ TEST(DeltaCodecTest, CorruptDeltaRejected) {
   RowBuilder b(&s);
   b.SetInt32(0, 1).SetInt64(1, 2).SetString(3, "x");
   std::string row = b.Encode().value();
-  EXPECT_FALSE(DeltaCodec::ApplyDelta(s, row, "\xff\xff\xff").ok());
+  Arena arena;
+  EXPECT_FALSE(DeltaCodec::ApplyDeltaTo(s, row, "\xff\xff\xff", &arena).ok());
+  EXPECT_FALSE(DeltaCodec::TouchesAny(s, "\xff\xff\xff", {0}).ok());
+  // One entry for column 1 (int64) whose payload is cut short.
+  const std::string truncated("\x01\x01\x00\x2a", 4);
+  EXPECT_FALSE(DeltaCodec::ApplyDeltaTo(s, row, truncated, &arena).ok());
+  EXPECT_FALSE(DeltaCodec::TouchesAny(s, truncated, {3}).ok());
 }
 
 // Property sweep: random rows, random column subsets; before-delta applied
@@ -171,6 +188,7 @@ class DeltaPropertyTest : public ::testing::TestWithParam<int> {};
 TEST_P(DeltaPropertyTest, RandomRoundTrips) {
   Schema s = TestSchema();
   Random rng(GetParam() * 2654435761u + 1);
+  Arena arena;
   for (int iter = 0; iter < 200; ++iter) {
     auto random_row = [&]() {
       RowBuilder b(&s);
@@ -191,15 +209,130 @@ TEST_P(DeltaPropertyTest, RandomRoundTrips) {
     };
     std::string old_row = random_row();
     std::string new_row = random_row();
-    std::string delta = DeltaCodec::ComputeBeforeDelta(
-        s, RowView(&s, old_row.data()), RowView(&s, new_row.data()));
-    Result<std::string> back = DeltaCodec::ApplyDelta(s, new_row, delta);
+    Slice delta = DeltaCodec::ComputeBeforeDeltaTo(
+        s, RowView(&s, old_row.data()), RowView(&s, new_row.data()), &arena);
+    Result<Slice> back = DeltaCodec::ApplyDeltaTo(s, new_row, delta, &arena);
     ASSERT_OK_R(back);
-    ASSERT_EQ(back.value(), old_row);
+    ASSERT_EQ(back.value(), Slice(old_row));
+    arena.Reset();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaPropertyTest, ::testing::Range(0, 8));
+
+// --- Golden bytes -----------------------------------------------------------
+//
+// The row, delta and index-key formats are read back by recovery (WAL
+// payloads), by MVCC (UNDO before-images) and from checkpointed pages, so
+// their bytes must never drift. The literals are the bytes existing builds
+// write; a change to any of them makes older WAL, UNDO and checkpoint files
+// unreadable.
+
+Schema GoldenSchema() {
+  return Schema({
+      {"id", ColumnType::kInt32, 0, false},
+      {"qty", ColumnType::kInt64, 0, true},
+      {"price", ColumnType::kDouble, 0, true},
+      {"code", ColumnType::kString, 8, false},
+      {"note", ColumnType::kString, 10, true},
+      {"tag", ColumnType::kString, 6, true},
+  });
+}
+
+std::string Hex(Slice s) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (size_t i = 0; i < s.size(); ++i) {
+    uint8_t b = static_cast<uint8_t>(s[i]);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
+}
+
+// id=-7, qty=null, price=1.5, code at its max length, note empty, tag null.
+std::string GoldenRow(const Schema& s) {
+  RowBuilder b(&s);
+  b.SetInt32(0, -7).SetNull(1).SetDouble(2, 1.5).SetString(3, "ABCDEFGH")
+      .SetString(4, "").SetNull(5);
+  return b.Encode().value();
+}
+
+// Index key over `cols` of `s` with the given values.
+std::string GoldenKey(const Schema& s, std::vector<uint32_t> cols,
+                      std::vector<Value> values) {
+  Arena arena;
+  return Table::EncodeKey(s, cols, values, &arena).value().ToString();
+}
+
+// size | null bitmap (qty, tag) | id | qty | price | code off,len |
+// note off,len | tag | string heap
+const char kGoldenRowHex[] =
+    "2b00" "22" "f9ffffff" "0000000000000000" "000000000000f83f"
+    "23000800" "2b000000" "00000000" "4142434445464748";
+
+TEST(GoldenBytesTest, Row) {
+  Schema s = GoldenSchema();
+  EXPECT_EQ(Hex(GoldenRow(s)), kGoldenRowHex);
+}
+
+TEST(GoldenBytesTest, BeforeAndAfterDelta) {
+  Schema s = GoldenSchema();
+  std::string old_row = GoldenRow(s);
+  // Update qty null -> 42, price 1.5 -> null, code -> "xy", tag null -> "t".
+  RowBuilder b(&s);
+  b.SetInt32(0, -7).SetInt64(1, 42).SetNull(2).SetString(3, "xy")
+      .SetString(4, "").SetString(5, "t");
+  std::string new_row = b.Encode().value();
+  RowView old_view(&s, old_row.data());
+  RowView new_view(&s, new_row.data());
+  const uint32_t cols[] = {1, 2, 3, 5};
+  Arena arena;
+  Slice before = DeltaCodec::MakeDeltaTo(s, old_view, cols, 4, &arena);
+  Slice after = DeltaCodec::MakeDeltaTo(s, new_view, cols, 4, &arena);
+  EXPECT_EQ(Hex(new_row),
+            "2600" "04" "f9ffffff" "2a00000000000000" "0000000000000000"
+            "23000200" "25000000" "25000100" "7879" "74");
+  // count | col 1 null | col 2 1.5 | col 3 len 8 "ABCDEFGH" | col 5 null
+  EXPECT_EQ(Hex(before),
+            "04" "0101" "0200" "000000000000f83f" "0300" "08" "4142434445464748"
+            "0501");
+  // count | col 1 42 | col 2 null | col 3 len 2 "xy" | col 5 len 1 "t"
+  EXPECT_EQ(Hex(after),
+            "04" "0100" "2a00000000000000" "0201" "0300" "02" "7879" "0500"
+            "01" "74");
+  EXPECT_EQ(Hex(DeltaCodec::ComputeBeforeDeltaTo(s, old_view, new_view,
+                                                 &arena)),
+            Hex(before));
+}
+
+TEST(GoldenBytesTest, IndexKeys) {
+  Schema s = GoldenSchema();
+  EXPECT_EQ(Hex(GoldenKey(s, {0}, {Value::Int32(-7)})),
+            "7ffffffffffffff9");
+  EXPECT_EQ(Hex(GoldenKey(s, {1}, {Value::Int64(1ll << 40)})),
+            "8000010000000000");
+  EXPECT_EQ(Hex(GoldenKey(s, {3}, {Value::String(std::string("a\0b", 3))})),
+            "61006200");
+  EXPECT_EQ(Hex(GoldenKey(s, {0, 3, 1},
+                          {Value::Int32(3), Value::String("k"),
+                           Value::Int64(-1)})),
+            "8000000000000003" "6b00" "7fffffffffffffff");
+}
+
+TEST(GoldenBytesTest, PaxReadRow) {
+  Schema s = GoldenSchema();
+  TableLeafLayout layout = TableLeafLayout::Compute(s);
+  std::vector<char> page(kPageSize);
+  TableLeaf::Init(page.data(), s, layout, /*first_row_id=*/1);
+  TableLeaf leaf(page.data(), &s, &layout);
+  std::string row = GoldenRow(s);
+  ASSERT_OK(leaf.InsertRow(3, RowView(&s, row.data())));
+  Arena arena;
+  Result<Slice> read = leaf.ReadRowTo(3, &arena);
+  ASSERT_OK_R(read);
+  EXPECT_EQ(Hex(read.value()), kGoldenRowHex);
+}
 
 }  // namespace
 }  // namespace phoebe

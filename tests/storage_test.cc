@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "common/random.h"
 #include "storage/frozen_block.h"
 #include "storage/frozen_store.h"
@@ -23,6 +24,14 @@ std::string MakeRow(const Schema& s, int64_t id, int32_t qty, double price,
   RowBuilder b(&s);
   b.SetInt64(0, id).SetInt32(1, qty).SetDouble(2, price).SetString(3, name);
   return b.Encode().value();
+}
+
+// Reads `slot` of `leaf` through the PAX row writer into a string.
+Status ReadRow(const TableLeaf& leaf, uint16_t slot, std::string* out) {
+  Arena arena;
+  Result<Slice> row = leaf.ReadRowTo(slot, &arena);
+  if (row.ok()) *out = row.value().ToString();
+  return row.status();
 }
 
 // --- TableLeaf (PAX) ---------------------------------------------------------
@@ -59,7 +68,7 @@ TEST(TableLeafTest, InsertReadUpdateErase) {
   EXPECT_EQ(leaf.live_count(), 1u);
 
   std::string got;
-  ASSERT_OK(leaf.ReadRow(5, &got));
+  ASSERT_OK(ReadRow(leaf, 5, &got));
   RowView v(&s, got.data());
   EXPECT_EQ(v.GetInt64(0), 7);
   EXPECT_EQ(v.GetString(3), Slice("widget"));
@@ -70,7 +79,7 @@ TEST(TableLeafTest, InsertReadUpdateErase) {
   // In-place update.
   std::string row2 = MakeRow(s, 7, 42, 1.25, "gadget");
   ASSERT_OK(leaf.UpdateRow(5, RowView(&s, row2.data())));
-  ASSERT_OK(leaf.ReadRow(5, &got));
+  ASSERT_OK(ReadRow(leaf, 5, &got));
   EXPECT_EQ(RowView(&s, got.data()).GetInt32(1), 42);
   EXPECT_EQ(RowView(&s, got.data()).GetString(3), Slice("gadget"));
 
@@ -82,7 +91,7 @@ TEST(TableLeafTest, InsertReadUpdateErase) {
 
   ASSERT_OK(leaf.EraseRow(5));
   EXPECT_FALSE(leaf.IsLive(5));
-  EXPECT_TRUE(leaf.ReadRow(5, &got).IsNotFound());
+  EXPECT_TRUE(ReadRow(leaf, 5, &got).IsNotFound());
   EXPECT_TRUE(leaf.UpdateRow(5, RowView(&s, row.data())).IsNotFound());
 }
 
@@ -102,7 +111,7 @@ TEST(TableLeafTest, FillToCapacity) {
           .IsInvalidArgument());
   for (uint16_t i = 0; i < layout.capacity(); ++i) {
     std::string got;
-    ASSERT_OK(leaf.ReadRow(i, &got));
+    ASSERT_OK(ReadRow(leaf, i, &got));
     ASSERT_EQ(RowView(&s, got.data()).GetInt64(0), i);
   }
 }
@@ -118,7 +127,7 @@ TEST(TableLeafTest, NullHandling) {
   std::string row = b.Encode().value();
   ASSERT_OK(leaf.InsertRow(0, RowView(&s, row.data())));
   std::string got;
-  ASSERT_OK(leaf.ReadRow(0, &got));
+  ASSERT_OK(ReadRow(leaf, 0, &got));
   EXPECT_TRUE(RowView(&s, got.data()).IsNull(2));
   EXPECT_FALSE(RowView(&s, got.data()).IsNull(1));
 }

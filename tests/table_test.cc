@@ -607,42 +607,57 @@ TEST_F(TableTest, StaleFrozenBlockIsShadowedByLiveTreeRows) {
 TEST(KeyEncodingTest, IntOrderPreserved) {
   Schema s({{"k", ColumnType::kInt64, 0, false}});
   Random rng(17);
+  Arena arena;
   for (int i = 0; i < 2000; ++i) {
     int64_t a = static_cast<int64_t>(rng.Next());
     int64_t b = static_cast<int64_t>(rng.Next());
-    auto ka = Table::EncodeKeyValues(s, {0}, {Value::Int64(a)});
-    auto kb = Table::EncodeKeyValues(s, {0}, {Value::Int64(b)});
+    auto ka = Table::EncodeKey(s, {0}, {Value::Int64(a)}, &arena);
+    auto kb = Table::EncodeKey(s, {0}, {Value::Int64(b)}, &arena);
     ASSERT_OK_R(ka);
     ASSERT_OK_R(kb);
-    ASSERT_EQ(a < b, Slice(ka.value()).compare(Slice(kb.value())) < 0)
-        << a << " vs " << b;
+    ASSERT_EQ(a < b, ka.value().compare(kb.value()) < 0) << a << " vs " << b;
+    arena.Reset();
   }
 }
 
 TEST(KeyEncodingTest, CompositeStringOrdering) {
   Schema s({{"w", ColumnType::kInt32, 0, false},
             {"last", ColumnType::kString, 16, false}});
-  auto k1 = Table::EncodeKeyValues(s, {0, 1},
-                                   {Value::Int32(1), Value::String("ABLE")});
-  auto k2 = Table::EncodeKeyValues(s, {0, 1},
-                                   {Value::Int32(1), Value::String("BAR")});
-  auto k3 = Table::EncodeKeyValues(s, {0, 1},
-                                   {Value::Int32(2), Value::String("AAA")});
+  Arena arena;
+  auto k1 = Table::EncodeKey(s, {0, 1},
+                             {Value::Int32(1), Value::String("ABLE")}, &arena);
+  auto k2 = Table::EncodeKey(s, {0, 1},
+                             {Value::Int32(1), Value::String("BAR")}, &arena);
+  auto k3 = Table::EncodeKey(s, {0, 1},
+                             {Value::Int32(2), Value::String("AAA")}, &arena);
   ASSERT_OK_R(k1);
-  EXPECT_LT(Slice(k1.value()).compare(Slice(k2.value())), 0);
-  EXPECT_LT(Slice(k2.value()).compare(Slice(k3.value())), 0);
+  EXPECT_LT(k1.value().compare(k2.value()), 0);
+  EXPECT_LT(k2.value().compare(k3.value()), 0);
   // Shorter string that is a prefix sorts first.
-  auto p1 = Table::EncodeKeyValues(s, {0, 1},
-                                   {Value::Int32(1), Value::String("AB")});
-  EXPECT_LT(Slice(p1.value()).compare(Slice(k1.value())), 0);
+  auto p1 = Table::EncodeKey(s, {0, 1},
+                             {Value::Int32(1), Value::String("AB")}, &arena);
+  EXPECT_LT(p1.value().compare(k1.value()), 0);
+  // A one-value prefix encodes the first key column only and sorts before
+  // every full key that extends it.
+  auto w1 = Table::EncodeKey(s, {0, 1}, {Value::Int32(1)}, &arena);
+  ASSERT_OK_R(w1);
+  EXPECT_EQ(w1.value().size(), 8u);
+  EXPECT_TRUE(p1.value().starts_with(w1.value()));
+  EXPECT_FALSE(Table::EncodeKey(s, {0}, {Value::Int32(1), Value::Int32(2)},
+                                &arena)
+                   .ok());
+}
+
+std::string Successor(std::string key) {
+  key.resize(Table::PrefixSuccessor(key.data(), key.size()));
+  return key;
 }
 
 TEST(KeyEncodingTest, PrefixSuccessor) {
-  EXPECT_EQ(Table::PrefixSuccessor("abc"), "abd");
-  std::string with_ff = std::string("a") + '\xff';
-  EXPECT_EQ(Table::PrefixSuccessor(with_ff), "b");
-  EXPECT_EQ(Table::PrefixSuccessor(std::string(2, '\xff')), "");
-  EXPECT_EQ(Table::PrefixSuccessor(""), "");
+  EXPECT_EQ(Successor("abc"), "abd");
+  EXPECT_EQ(Successor(std::string("a") + '\xff'), "b");
+  EXPECT_EQ(Successor(std::string(2, '\xff')), "");
+  EXPECT_EQ(Successor(""), "");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "tests/test_util.h"
 #include "txn/clock.h"
 #include "txn/txn_manager.h"
@@ -26,7 +27,10 @@ std::string ValueOf(const Schema& s, Slice row) {
 /// Delta whose before-image sets column 0 to `v`.
 std::string DeltaTo(const Schema& s, const std::string& v) {
   std::string row = Row(s, v);
-  return DeltaCodec::MakeDelta(s, RowView(&s, row.data()), {0});
+  Arena arena;
+  const uint32_t col = 0;
+  return DeltaCodec::MakeDeltaTo(s, RowView(&s, row.data()), &col, 1, &arena)
+      .ToString();
 }
 
 // --- GlobalClock ---------------------------------------------------------------
