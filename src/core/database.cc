@@ -426,6 +426,7 @@ void Database::StatementBegin(Transaction* txn) {
 }
 
 Status Database::Commit(OpContext* ctx, Transaction* txn) {
+  if (txn->read_only()) return CommitReadOnly(ctx, txn);
   if (txn->state() != TxnState::kCommitted) {
     // Fail-stop: once a WAL flush has failed, durability can no longer be
     // promised, so no new commit may even be logged. The transaction is left
@@ -449,12 +450,36 @@ Status Database::Commit(OpContext* ctx, Transaction* txn) {
     }
   }
   txn_mgr_->FinishTransaction(txn, /*committed=*/true);
-  if (options_.baseline_global_lock_table) {
-    auto& held = held_locks_[txn->slot_id()];
-    lock_table_->ReleaseAll(txn->xid(), held);
-    held.clear();
-  }
+  ReleaseBaselineLocks(txn);
   return Status::OK();
+}
+
+Status Database::CommitReadOnly(OpContext* ctx, Transaction* txn) {
+  // Nothing to log, so no commit timestamp, commit record or flush wait. The
+  // one duty left is not to acknowledge data whose commit could still be
+  // lost: a commit finishes only once durable, so wait until every commit
+  // this transaction read from has finished.
+  for (;;) {
+    // Fail-stop rejects every commit, as for writers.
+    if (wal_->fail_stopped()) return wal_->fail_stop_status();
+    TxnManager::SlotState* unfinished =
+        txn_mgr_->UnfinishedObservedCommit(txn);
+    if (unfinished == nullptr) break;
+    if (!ctx->synchronous) return Status::Blocked(WaitKind::kCommitFlush);
+    // Bounded so a commit that fail-stop rejected (and that therefore never
+    // finishes) cannot hang the reader.
+    txn_mgr_->WaitCommitFinished(unfinished, /*micros=*/1000);
+  }
+  txn_mgr_->FinishTransaction(txn, /*committed=*/true);
+  ReleaseBaselineLocks(txn);
+  return Status::OK();
+}
+
+void Database::ReleaseBaselineLocks(Transaction* txn) {
+  if (!options_.baseline_global_lock_table) return;
+  auto& held = held_locks_[txn->slot_id()];
+  lock_table_->ReleaseAll(txn->xid(), held);
+  held.clear();
 }
 
 Status Database::Abort(OpContext* ctx, Transaction* txn) {
@@ -462,6 +487,8 @@ Status Database::Abort(OpContext* ctx, Transaction* txn) {
     // Rolling back committed records would corrupt the version chains.
     return Status::InvalidArgument("abort after commit");
   }
+  // A read-only transaction logged nothing, so it needs no kAbort record.
+  const bool read_only = txn->read_only();
   // Roll back newest-to-oldest via the in-memory UNDO list; runs
   // synchronously (rollback paths never yield).
   Status result = Status::OK();
@@ -477,14 +504,12 @@ Status Database::Abort(OpContext* ctx, Transaction* txn) {
     arena.FreeAborted(rec);
     rec = next;
   }
-  WalWriter& w = wal_->WriterFor(txn->slot_id());
-  w.Append(WalRecordType::kAbort, txn->xid(), w.LoadGsn(), Slice());
-  txn_mgr_->FinishTransaction(txn, /*committed=*/false);
-  if (options_.baseline_global_lock_table) {
-    auto& held = held_locks_[txn->slot_id()];
-    lock_table_->ReleaseAll(txn->xid(), held);
-    held.clear();
+  if (!read_only) {
+    WalWriter& w = wal_->WriterFor(txn->slot_id());
+    w.Append(WalRecordType::kAbort, txn->xid(), w.LoadGsn(), Slice());
   }
+  txn_mgr_->FinishTransaction(txn, /*committed=*/false);
+  ReleaseBaselineLocks(txn);
   return result;
 }
 

@@ -69,12 +69,15 @@ class Database {
   void StatementBegin(Transaction* txn);
 
   /// Commits: assigns cts, updates UNDO ets in one scan, logs the commit
-  /// record, and waits for durability under the RFA rule. In coroutine mode
-  /// returns kBlocked(kCommitFlush) until durable — re-invoke after
-  /// yielding (idempotent).
+  /// record, and waits for durability under the RFA rule. A read-only
+  /// transaction (nothing logged, no UNDO) skips all of that and only waits
+  /// until every commit it read from has finished (DESIGN.md §4c). In
+  /// coroutine mode returns kBlocked(kCommitFlush) until done — re-invoke
+  /// after yielding (idempotent). kUnavailable after WAL fail-stop.
   Status Commit(OpContext* ctx, Transaction* txn);
 
-  /// Aborts: rolls back all changes via the in-memory UNDO list.
+  /// Aborts: rolls back all changes via the in-memory UNDO list and logs a
+  /// kAbort record (none for a read-only transaction).
   Status Abort(OpContext* ctx, Transaction* txn);
 
   /// --- Runtime wiring ------------------------------------------------------------
@@ -193,6 +196,11 @@ class Database {
   Status LoadCatalogAndRecover();
   Status PersistCatalog(bool clean);
   Status RunRecovery(uint64_t watermark_gsn, uint64_t checkpoint_ts);
+
+  /// Commit path of a read-only transaction (see Commit).
+  Status CommitReadOnly(OpContext* ctx, Transaction* txn);
+  /// Baseline global-lock-table mode: releases `txn`'s tuple locks.
+  void ReleaseBaselineLocks(Transaction* txn);
 
   /// Checkpoint body. Caller holds ckpt_mu_ and has quiesced the system
   /// (admission gate closed, all slots idle, no live undo). Pauses the

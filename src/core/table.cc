@@ -385,6 +385,7 @@ Status Table::GetRef(OpContext* ctx, Transaction* txn, RowId rid,
       schema_, txn->xid(), txn->snapshot(), base.value(), base_deleted, entry,
       id_, rid, arena, &vv));
   g.Release();
+  txn->max_observed_cts = std::max(txn->max_observed_cts, vv.cts);
   if (!vv.exists) return Status::NotFound();
   *row = vv.row;
   txn->rows_read += 1;
@@ -1071,43 +1072,37 @@ Result<int> Table::FreezePass(OpContext* ctx, int max_leaves) {
 
   while (frozen_count < max_leaves) {
     RowId start = frozen_->max_frozen_row_id() + 1;
-    std::vector<RowId> rids;
-    std::vector<std::string> rows;
-    bool eligible = false;
-    RowId range_end = 0;
-    {
-      LeafGuard g;
-      Status st = tree_->FixLeaf(&sync, BTree::TableKey(start),
-                                 LatchMode::kExclusive, &g);
-      if (!st.ok()) return Result<int>(st);
-      TableLeaf leaf(g.page(), &schema_, &layout_);
-      BufferFrame* frame = g.frame();
-      RowId leaf_end = leaf.first_row_id() + leaf.capacity();
-      bool is_tail =
-          leaf_end > next_row_id_.load(std::memory_order_relaxed);
-      if (leaf.first_row_id() == start && !is_tail &&
-          TwinTable::Of(frame) == nullptr &&
-          frame->access_count.load(std::memory_order_relaxed) <=
-              opts.freeze_access_threshold &&
-          frame->last_access_epoch.load(std::memory_order_relaxed) +
-                  opts.freeze_epoch_age <=
-              epoch) {
-        eligible = true;
-        range_end = leaf_end - 1;
-        for (uint16_t s = 0; s < leaf.capacity(); ++s) {
-          if (!leaf.IsLive(s) || leaf.IsDeleted(s)) continue;
-          Result<Slice> row = leaf.ReadRowTo(s, &scratch);
-          if (!row.ok()) return Result<int>(row.status());
-          rids.push_back(leaf.first_row_id() + s);
-          rows.push_back(row.value().ToString());
-        }
-      }
-    }
-    if (!eligible) break;
-    scratch.Reset();
-    PHOEBE_RETURN_IF_ERROR(frozen_->FreezeBlock(rids, rows, range_end));
-    Status st = tree_->DetachTableLeaf(&sync, start);
-    if (!st.ok() && !st.IsNotFound()) return Result<int>(st);
+    // The eligibility check, the row copy and the block write all run under
+    // the latches DetachTableLeaf holds, so no writer can touch the leaf
+    // between its frozen copy and its removal from the tree.
+    Status st = tree_->DetachTableLeaf(
+        &sync, start, [&](TableLeaf& leaf, BufferFrame* frame) {
+          RowId leaf_end = leaf.first_row_id() + leaf.capacity();
+          bool is_tail =
+              leaf_end > next_row_id_.load(std::memory_order_relaxed);
+          if (is_tail ||
+              frame->access_count.load(std::memory_order_relaxed) >
+                  opts.freeze_access_threshold ||
+              frame->last_access_epoch.load(std::memory_order_relaxed) +
+                      opts.freeze_epoch_age >
+                  epoch) {
+            return Status::NotFound("leaf not freezable");
+          }
+          std::vector<RowId> rids;
+          std::vector<std::string> rows;
+          for (uint16_t s = 0; s < leaf.capacity(); ++s) {
+            if (!leaf.IsLive(s) || leaf.IsDeleted(s)) continue;
+            Result<Slice> row = leaf.ReadRowTo(s, &scratch);
+            if (!row.ok()) return row.status();
+            rids.push_back(leaf.first_row_id() + s);
+            rows.push_back(row.value().ToString());
+          }
+          scratch.Reset();
+          return frozen_->FreezeBlock(rids, rows, leaf_end - 1);
+        });
+    // Not anchored at `start`, the root leaf, a twin table, or still warm.
+    if (st.IsNotFound() || st.IsAborted()) break;
+    if (!st.ok()) return Result<int>(st);
     ++frozen_count;
   }
   return Result<int>(frozen_count);

@@ -833,7 +833,9 @@ Status BTree::AppendTableLeaf(OpContext* ctx, RowId first_row_id) {
   }
 }
 
-Status BTree::DetachTableLeaf(OpContext* ctx, RowId first_row_id) {
+Status BTree::DetachTableLeaf(
+    OpContext* ctx, RowId first_row_id,
+    const std::function<Status(TableLeaf&, BufferFrame*)>& prepare) {
   std::string key = TableKey(first_row_id);
   LeafGuard xleaf;
   BufferFrame* parent = nullptr;
@@ -844,12 +846,12 @@ Status BTree::DetachTableLeaf(OpContext* ctx, RowId first_row_id) {
 
   TableLeaf leaf(xleaf.page(), schema_, layout_);
   if (parent_is_meta) {
-    result = Status::NotSupported("cannot detach the root leaf");
+    result = Status::NotFound("cannot detach the root leaf");
   } else if (leaf.first_row_id() != first_row_id) {
     result = Status::NotFound("leaf anchor mismatch");
   } else if (xleaf.frame()->twin.load(std::memory_order_acquire) != nullptr) {
     result = Status::Aborted("leaf has live twin table");
-  } else {
+  } else if (result = prepare(leaf, xleaf.frame()); result.ok()) {
     InnerNode* pinner = InnerNode::Cast(parent->page);
     int idx = pinner->FindChildBySwipWord(
         reinterpret_cast<uint64_t>(xleaf.frame()));

@@ -130,11 +130,18 @@ class BTree {
   /// by the table layer when row ids pass the end of the current tail leaf.
   Status AppendTableLeaf(OpContext* ctx, RowId first_row_id);
 
-  /// Removes the leaf covering `first_row_id` from the tree (used when
-  /// freezing consecutive leaves into a frozen block). The leaf must have no
+  /// Removes the leaf anchored at `first_row_id` from the tree (used when
+  /// freezing consecutive leaves into a frozen block), after `prepare`
+  /// returns OK for it. `prepare` runs with the leaf and its parent
+  /// exclusively latched, so no writer can change the leaf between what
+  /// `prepare` copies out of it and the detach; a non-OK status from it
+  /// leaves the leaf in place and is returned. NotFound when no leaf is
+  /// anchored there or it is the root leaf, Aborted when the leaf has a
   /// twin table. On success the frame is freed and any on-disk page
   /// recycled.
-  Status DetachTableLeaf(OpContext* ctx, RowId first_row_id);
+  Status DetachTableLeaf(
+      OpContext* ctx, RowId first_row_id,
+      const std::function<Status(TableLeaf&, BufferFrame*)>& prepare);
 
   /// Visits every resident + on-disk table leaf in row_id order (exclusive
   /// latched), for scans/freeze passes. `cb` returns false to stop.

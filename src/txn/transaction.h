@@ -41,6 +41,10 @@ class Transaction {
   }
   size_t undo_count() const { return undo_count_; }
 
+  /// True while the transaction has logged nothing and holds no UNDO: its
+  /// commit needs no timestamp, no WAL record and no flush wait.
+  bool read_only() const { return last_lsn == 0 && undo_head_ == nullptr; }
+
   /// --- WAL / RFA commit-dependency tracking (Section 8) --------------------
 
   /// LSN of this transaction's last record in its slot's WAL writer.
@@ -52,6 +56,11 @@ class Transaction {
   /// global flushed GSN (Remote Flush Avoidance: stays false for partitioned
   /// workloads, letting commits wait only on the local writer).
   bool remote_dependency = false;
+  /// Highest commit timestamp among the versions this transaction read
+  /// (0 when every version read was from a commit known to be finished).
+  /// A read-only commit waits until no commit at or below it is still
+  /// unfinished, i.e. possibly not yet durable.
+  Timestamp max_observed_cts = 0;
 
   /// Statistics.
   uint64_t rows_read = 0;

@@ -108,6 +108,7 @@ Transaction* TxnManager::BeginOnSlot(uint32_t slot_id, IsolationLevel iso) {
   txn.last_lsn = 0;
   txn.max_gsn = 0;
   txn.remote_dependency = false;
+  txn.max_observed_cts = 0;
   txn.rows_read = 0;
   txn.rows_written = 0;
 
@@ -129,6 +130,9 @@ void TxnManager::RefreshStatementSnapshot(Transaction* txn) {
 Timestamp TxnManager::PrepareCommit(Transaction* txn) {
   ComponentScope prof(Component::kMvcc);
   Timestamp cts = clock_->Next();
+  // Publish the commit as unfinished before any ets makes it visible: the
+  // ets release stores below carry this store to every reader of them.
+  slots_[txn->slot_id_]->committing_cts.store(cts, std::memory_order_relaxed);
   // Single scan over the transaction's UNDO list (Section 6.2).
   for (UndoRecord* rec = txn->undo_head_; rec != nullptr;
        rec = rec->txn_next) {
@@ -146,6 +150,7 @@ void TxnManager::FinishTransaction(Transaction* txn, bool committed) {
     std::lock_guard<std::mutex> lk(s.mu);
     s.active_xid.store(0, std::memory_order_release);
     s.active_start_ts.store(0, std::memory_order_relaxed);
+    s.committing_cts.store(0, std::memory_order_release);
   }
   s.cv.notify_all();
   if (on_finish_) on_finish_(xid);
@@ -180,6 +185,25 @@ void TxnManager::WaitForXidFor(Xid xid, uint64_t micros) {
       return;
     }
   }
+}
+
+TxnManager::SlotState* TxnManager::UnfinishedObservedCommit(
+    const Transaction* txn) {
+  if (txn->max_observed_cts == 0) return nullptr;
+  for (auto& s : slots_) {
+    uint64_t cts = s->committing_cts.load(std::memory_order_acquire);
+    if (cts != 0 && cts <= txn->max_observed_cts) return s.get();
+  }
+  return nullptr;
+}
+
+void TxnManager::WaitCommitFinished(SlotState* s, uint64_t micros) {
+  uint64_t cts = s->committing_cts.load(std::memory_order_acquire);
+  if (cts == 0) return;
+  std::unique_lock<std::mutex> lk(s->mu);
+  s->cv.wait_for(lk, std::chrono::microseconds(micros), [&] {
+    return s->committing_cts.load(std::memory_order_acquire) != cts;
+  });
 }
 
 Timestamp TxnManager::MinActiveStartTs() const {

@@ -39,6 +39,10 @@ class TxnManager {
     std::atomic<uint64_t> active_start_ts{0};
     /// Snapshot currently in use (refreshed per statement under RC).
     std::atomic<uint64_t> active_snapshot{0};
+    /// Commit timestamp of the slot's transaction while its commit is
+    /// prepared (visible to readers) but not finished (possibly not yet
+    /// durable); 0 otherwise.
+    std::atomic<uint64_t> committing_cts{0};
     /// start_ts of the newest transaction whose UNDO was fully reclaimed.
     std::atomic<uint64_t> last_reclaimed_start_ts{0};
 
@@ -106,12 +110,26 @@ class TxnManager {
 
   /// Allocates the commit timestamp and updates every UNDO record's ets in
   /// one scan of the transaction list (Section 6.2). Does NOT publish the
-  /// finish; call FinishTransaction after the WAL commit wait.
+  /// finish; call FinishTransaction after the WAL commit wait. Until then
+  /// the slot publishes the timestamp as an unfinished commit.
   Timestamp PrepareCommit(Transaction* txn);
 
   /// Marks the transaction finished: clears the slot's XID (releasing the
   /// transaction-ID lock) and wakes all shared-lock waiters.
   void FinishTransaction(Transaction* txn, bool committed);
+
+  /// --- Observed-commit check (read-only commits) ----------------------------
+
+  /// A slot whose unfinished commit has a cts at or below
+  /// `txn->max_observed_cts`, or nullptr when every commit `txn` read from
+  /// has finished. A commit finishes only once it is durable, so a
+  /// read-only transaction may finish when this returns nullptr.
+  SlotState* UnfinishedObservedCommit(const Transaction* txn);
+
+  /// Sync mode: blocks on `s`'s finish wakeup until the commit it publishes
+  /// finishes or `micros` elapse (bounded, since a commit that fail-stop
+  /// rejected never finishes).
+  void WaitCommitFinished(SlotState* s, uint64_t micros);
 
   /// --- Transaction-ID locks -------------------------------------------------
 

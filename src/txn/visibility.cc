@@ -49,9 +49,10 @@ Status RetrieveVisibleVersion(const Schema& schema, Xid xid,
   ComponentScope prof(Component::kMvcc);
   // Lines 1-2: no twin table -> the tuple itself is visible. The row slice
   // borrows the caller's base_row bytes — no copy (the common OLTP case).
-  auto base_visible = [&]() {
+  auto base_visible = [&](Timestamp cts = 0) {
     out->exists = !base_deleted;
     out->assembled = false;
+    out->cts = cts;
     if (out->exists) out->row = base_row;
     return Status::OK();
   };
@@ -66,7 +67,7 @@ Status RetrieveVisibleVersion(const Schema& schema, Xid xid,
 
     // Line 4: header ets committed at/before our snapshot, or our own write.
     if (!IsXid(hc.ets)) {
-      if (hc.ets <= snapshot) return base_visible();
+      if (hc.ets <= snapshot) return base_visible(hc.ets);
     } else if (hc.ets == xid) {
       return base_visible();
     }
@@ -102,6 +103,7 @@ Status RetrieveVisibleVersion(const Schema& schema, Xid xid,
         out->exists = exists;
         out->row = exists ? tuple : Slice();
         out->assembled = exists && assembled;
+        out->cts = cur.sts;
         return Status::OK();
       }
       if (cur.next == nullptr) {

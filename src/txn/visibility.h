@@ -23,6 +23,10 @@ struct VisibleVersion {
   bool exists = false;
   Slice row;
   bool assembled = false;  // true -> a delta chain was applied (arena bytes)
+  /// Commit timestamp of the version returned, tombstones included; 0 when
+  /// its commit is known to be finished (no chain, or the chain record was
+  /// reclaimed) or the version is the reader's own write.
+  Timestamp cts = 0;
 };
 
 /// Retrieve-visible-version (Algorithm 1 in the paper). Inputs:

@@ -8,8 +8,8 @@
 //           key must be present-with-its-value or absent ("fuzzy"), never
 //           corrupt;
 //   mode 2: sticky fsync failure mid-run — the engine must go fail-stop and
-//           reject every subsequent commit with kUnavailable, then survive
-//           the crash;
+//           reject every subsequent commit with kUnavailable (read-only ones
+//           included), then survive the crash;
 //   mode 3: transient read errors + bit-flip corruption during verification —
 //           retry and CRC re-read must absorb every fault;
 //   mode 4: hand-torn WAL tail (garbage appended past the valid records) —
@@ -312,6 +312,7 @@ TEST_P(CrashTortureTest, SeededFaultAndCrashLoop) {
         // uses its own aux slot (a rejected commit leaves its slot busy).
         uint64_t sync_failures_before =
             IoStats::Global().wal_sync_failures.load();
+        const int64_t first_rejected = next_fuzzy_key;
         fenv.FailAllSyncs(true);
         for (int p = 0; p < 6; ++p) {
           int64_t k = next_fuzzy_key++;
@@ -335,6 +336,25 @@ TEST_P(CrashTortureTest, SeededFaultAndCrashLoop) {
                                       "fz" + std::to_string(k));
           EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
           model.fuzzy[k] = "fz" + std::to_string(k);
+        }
+        // Read-only probes are rejected too, in both execution modes. Each
+        // reads the first rejected key: when that commit was prepared before
+        // fail-stop, its version is visible but its slot never finishes.
+        // Worker slots are free here (no scheduler runs in this harness).
+        for (uint32_t slot = 0; slot < 2; ++slot) {
+          OpContext ctx;
+          ctx.synchronous = slot == 0;
+          Transaction* reader = db->Begin(slot);
+          RowId rid = 0;
+          Slice row;
+          Status rs = table->IndexGetRef(
+              &ctx, reader, 0, {Value::Int64(first_rejected)}, &rid, &row);
+          EXPECT_TRUE(rs.ok() || rs.IsNotFound()) << rs.ToString();
+          Status st = db->Commit(&ctx, reader);
+          EXPECT_TRUE(st.IsUnavailable())
+              << "read-only commit after fail-stop returned: "
+              << st.ToString();
+          EXPECT_OK(db->Abort(&ctx, reader));
         }
         break;
       }
