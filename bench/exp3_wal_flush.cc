@@ -30,7 +30,6 @@ tpcc::DriverResult RunOne(const Flags& flags, bool rfa,
   auto inst = SetupTpcc(std::string("exp3_") + (rfa ? "rfa" : "norfa"), opts,
                         DefaultScale(flags, warehouses));
   tpcc::DriverConfig cfg = DefaultDriver(flags);
-  cfg.sample_series = true;
   tpcc::DriverResult res = tpcc::RunTpcc(inst->workload.get(), cfg);
   if (pipe != nullptr && inst->db->wal() != nullptr) {
     const WalManager::PipelineStats& ps = inst->db->wal()->pipeline_stats();

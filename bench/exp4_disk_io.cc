@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
 
   tpcc::DriverConfig cfg = DefaultDriver(flags);
   cfg.seconds = flags.Double("seconds", 8.0);
-  cfg.sample_series = true;
   tpcc::DriverResult r = tpcc::RunTpcc(inst->workload.get(), cfg);
 
   printf("%-8s %-14s %-14s %-10s\n", "t(s)", "read_MB/s", "write_MB/s",

@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
     tpcc::DriverConfig cfg = DefaultDriver(flags);
     cfg.affinity = false;
     cfg.thread_model = true;
-    cfg.thread_model_threads = concurrency;
     tpcc::DriverResult r = tpcc::RunTpcc(inst->workload.get(), cfg);
     thread_tpm = r.tpm;
     printf("%-12s %-12.0f %-12.0f %-10llu\n", "thread", r.tpmc, r.tpm,

@@ -27,8 +27,7 @@ double CyclesPerTxn(const Flags& flags, TpccInstance* inst, bool baseline,
   cfg.pct_new_order = pct_new_order;
   cfg.pct_payment = pct_payment;
   cfg.pct_order_status = 0;
-  cfg.pct_delivery = 0;
-  cfg.pct_stock_level = 100 - pct_new_order - pct_payment;
+  cfg.pct_delivery = 0;  // StockLevel takes the rest of the mix
   cfg.thread_model = baseline;  // baseline runs thread-per-transaction
   tpcc::RunTpcc(inst->workload.get(), cfg);
   Profiler::Enable(false);
@@ -48,9 +47,6 @@ ModeResult RunMode(const Flags& flags, bool baseline) {
                         DefaultScale(flags, warehouses));
   tpcc::DriverConfig cfg = DefaultDriver(flags);
   cfg.thread_model = baseline;
-  if (baseline) {
-    cfg.thread_model_threads = opts.workers * opts.slots_per_worker;
-  }
   ModeResult r;
   tpcc::DriverResult d = tpcc::RunTpcc(inst->workload.get(), cfg);
   r.tpm = d.tpm;

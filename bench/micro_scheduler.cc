@@ -64,59 +64,6 @@ void BM_SchedulerDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerDispatch);
 
-void BM_SchedulerDispatchBatched(benchmark::State& state) {
-  // Same dispatch throughput with batched submission: one shard lock and
-  // one wakeup per 16 tasks instead of per task.
-  Scheduler::Options opts;
-  opts.workers = 2;
-  opts.slots_per_worker = 8;
-  Scheduler sched(opts, {});
-  sched.Start();
-  constexpr size_t kBatch = 16;
-  uint64_t submitted = 0;
-  std::vector<TaskFn> batch;
-  for (auto _ : state) {
-    batch.clear();
-    batch.reserve(kBatch);
-    for (size_t i = 0; i < kBatch; ++i) {
-      batch.push_back([](TaskEnv*) { return TrivialTask(); });
-    }
-    sched.SubmitBatch(std::move(batch));
-    batch = std::vector<TaskFn>();
-    submitted += kBatch;
-  }
-  while (sched.completed() < submitted) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  sched.Stop();
-  state.SetItemsProcessed(static_cast<int64_t>(submitted));
-}
-BENCHMARK(BM_SchedulerDispatchBatched);
-
-void BM_SchedulerSkewedSteal(benchmark::State& state) {
-  // All tasks land on worker 0's shard; the other workers must steal.
-  // Throughput here measures the steal path, not the local-pull path.
-  Scheduler::Options opts;
-  opts.workers = 4;
-  opts.slots_per_worker = 8;
-  Scheduler sched(opts, {});
-  sched.Start();
-  uint64_t submitted = 0;
-  for (auto _ : state) {
-    sched.SubmitToWorker(0, [](TaskEnv*) { return TrivialTask(); });
-    ++submitted;
-  }
-  while (sched.completed() < submitted) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  SchedulerStats total = sched.TotalStats();
-  sched.Stop();
-  state.SetItemsProcessed(static_cast<int64_t>(submitted));
-  state.counters["stolen"] = static_cast<double>(total.stolen);
-  state.counters["parks"] = static_cast<double>(total.parks);
-}
-BENCHMARK(BM_SchedulerSkewedSteal);
-
 void BM_ThreadContextSwitch(benchmark::State& state) {
   // Kernel-thread ping-pong for contrast with BM_CoroutineYieldResume.
   std::atomic<int> turn{0};

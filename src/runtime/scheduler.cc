@@ -23,6 +23,17 @@ constexpr uint32_t kMaxParkUs = 1600;
 
 }  // namespace
 
+void PinCurrentThread(uint32_t index) {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(index % std::thread::hardware_concurrency(), &set);
+  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+#else
+  (void)index;
+#endif
+}
+
 void SchedulerStats::Add(const SchedulerStats& o) {
   submitted += o.submitted;
   pulled += o.pulled;
@@ -166,63 +177,12 @@ void Scheduler::WakeAnyParked(uint32_t except) {
   }
 }
 
-void Scheduler::Submit(TaskFn fn) { SubmitToWorker(NextShard(), std::move(fn)); }
-
-void Scheduler::SubmitToWorker(uint32_t worker_id, TaskFn fn) {
-  const uint32_t w = worker_id % options_.workers;
+void Scheduler::Submit(TaskFn fn) {
+  const uint32_t w = NextShard();
   for (;;) {
     EnqueueResult r = EnqueueTo(w, fn);
     if (r != EnqueueResult::kFull) return;
     if (!WaitForSpace()) return;
-  }
-}
-
-bool Scheduler::TrySubmit(TaskFn fn) {
-  return EnqueueTo(NextShard(), fn) == EnqueueResult::kOk;
-}
-
-void Scheduler::SubmitBatch(std::vector<TaskFn> fns) {
-  if (fns.empty()) return;
-  const uint32_t w = NextShard();
-  WorkerShard& sh = *shards_[w];
-  const uint64_t cap = QueueCapacity();
-  size_t i = 0;
-  while (i < fns.size()) {
-    // Reserve capacity for as much of the remaining batch as fits.
-    uint64_t cur = queued_.load(std::memory_order_relaxed);
-    uint64_t take;
-    do {
-      if (cur >= cap) {
-        take = 0;
-        break;
-      }
-      take = std::min<uint64_t>(fns.size() - i, cap - cur);
-    } while (!queued_.compare_exchange_weak(cur, cur + take,
-                                            std::memory_order_seq_cst,
-                                            std::memory_order_relaxed));
-    if (take == 0) {
-      if (!WaitForSpace()) return;
-      continue;
-    }
-    if (stopping_.load(std::memory_order_seq_cst)) {
-      queued_.fetch_sub(take, std::memory_order_seq_cst);
-      NotifySpace();
-      return;
-    }
-    size_t depth;
-    {
-      std::lock_guard<std::mutex> lk(sh.mu);
-      for (uint64_t k = 0; k < take; ++k) {
-        sh.queue.push_back(std::move(fns[i + k]));
-      }
-      depth = sh.queue.size();
-      if (depth > sh.queue_depth_hwm.load(std::memory_order_relaxed)) {
-        sh.queue_depth_hwm.store(depth, std::memory_order_relaxed);
-      }
-    }
-    sh.submitted.fetch_add(take, std::memory_order_relaxed);
-    WakeWorker(w, depth);  // one notify per batch, not per task
-    i += take;
   }
 }
 
@@ -369,14 +329,7 @@ bool Scheduler::ParkIdle(uint32_t worker_id, uint32_t park_us) {
 }
 
 void Scheduler::WorkerMain(uint32_t worker_id) {
-#ifdef __linux__
-  if (options_.pin_workers) {
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(worker_id % std::thread::hardware_concurrency(), &set);
-    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-  }
-#endif
+  if (options_.pin_workers) PinCurrentThread(worker_id);
   const uint32_t nslots = options_.slots_per_worker;
   std::vector<Slot> slots(nslots);
   for (uint32_t i = 0; i < nslots; ++i) {

@@ -26,6 +26,10 @@ struct TaskEnv {
   uint32_t worker_id = 0;
 };
 
+/// Pins the calling thread to CPU `index % hardware_concurrency()` (Linux
+/// only; elsewhere a no-op). Workers and thread-model terminals use it.
+void PinCurrentThread(uint32_t index);
+
 /// A transaction closure: invoked once on a free task slot, producing the
 /// coroutine to drive.
 using TaskFn = std::function<TxnTask(TaskEnv*)>;
@@ -50,13 +54,12 @@ struct SchedulerStats {
 /// The co-routine pool runtime with the pull-based smart scheduler
 /// (Section 7.1), decentralized:
 ///   - every worker owns a run-queue shard; Submit routes round-robin via a
-///     relaxed atomic cursor (SubmitToWorker routes explicitly, e.g. for
-///     workload affinity);
+///     relaxed atomic cursor;
 ///   - workers drain their own queue first, then steal half-batches from a
 ///     randomly probed victim, and only then park on a per-worker condvar
 ///     with an exponential spin-then-park idle policy;
-///   - wakeups are batched: one notify per submitted batch, and only when
-///     the target worker is actually parked (overloaded shards additionally
+///   - wakeups are conditional: a submit notifies only when the target
+///     worker is actually parked (overloaded shards additionally
 ///     kick one parked sibling so stealing starts promptly);
 ///   - backpressure is a global in-flight counter (no central queue mutex);
 ///     a Stop() racing a blocked Submit always unblocks the submitter;
@@ -97,21 +100,11 @@ class Scheduler {
   /// Unblocks any Submit currently waiting on backpressure.
   void Stop();
 
-  /// Enqueues a transaction closure on the next round-robin shard. Applies
-  /// backpressure: blocks while more than 2x total slots are queued. Returns
-  /// without enqueueing when the scheduler is stopping.
+  /// Enqueues a transaction closure on the next round-robin shard: on a
+  /// fresh scheduler, the i-th Submit goes to shard i % workers. Applies
+  /// backpressure: blocks while 2x total slots are queued. Returns without
+  /// enqueueing when the scheduler is stopping.
   void Submit(TaskFn fn);
-
-  /// Non-blocking submit; false when saturated or stopping.
-  bool TrySubmit(TaskFn fn);
-
-  /// Enqueues a whole batch on one shard under a single lock with a single
-  /// wakeup (one notify per batch, not per task). Blocks on backpressure.
-  void SubmitBatch(std::vector<TaskFn> fns);
-
-  /// Routes to an explicit worker shard (affinity-aware submission; the
-  /// worker id is taken modulo the worker count). Blocks on backpressure.
-  void SubmitToWorker(uint32_t worker_id, TaskFn fn);
 
   uint64_t completed() const {
     return completed_.load(std::memory_order_relaxed);

@@ -4,12 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <type_traits>
+#include <thread>
 
 #include "common/clock.h"
 #include "common/profiler.h"
 #include "io/io_stats.h"
-#include "runtime/thread_executor.h"
 
 namespace phoebe {
 namespace tpcc {
@@ -81,22 +80,36 @@ TxnTask StartAttempt(Workload* w, TaskEnv* env, const TxnParams& p) {
   return NewOrderTxn(w, env, p.no);
 }
 
-/// Retry driver coroutine: runs the procedure, and on a *system* abort
+/// One closed-loop TPC-C terminal (a HammerDB virtual user): it runs one
+/// transaction at a time and starts the next when the previous one ends.
+/// `scheduler` is set in the coroutine model, where each transaction's last
+/// action is to submit its successor; the thread model loops on its own.
+struct Terminal {
+  TpccRandom rnd;
+  const DriverConfig* cfg = nullptr;
+  Workload* w = nullptr;
+  Scheduler* scheduler = nullptr;
+};
+
+/// One terminal transaction: runs the procedure, and on a *system* abort
 /// (deadlock timeout / write-write conflict — never the intentional 1%
 /// NewOrder rollback, never fail-stop kUnavailable or I/O errors) re-executes
 /// it with the same inputs after a jittered exponential backoff paid in
-/// scheduler yields, up to max_retries attempts.
-TxnTask RunWithRetry(Workload* w, DriverConfig cfg, TxnType type,
-                     int32_t submit_w_id, TaskEnv* env) {
-  int32_t w_id = submit_w_id;
-  if (cfg.affinity) {
-    w_id = static_cast<int32_t>(env->global_slot_id %
-                                static_cast<uint32_t>(w->scale.warehouses)) +
-           1;
-  }
-  TpccRandom rnd(env->ctx.rng.Next());
-  TxnParams params = MakeParams(&rnd, w, type, w_id);
+/// scheduler yields, up to max_retries attempts. The home warehouse is the
+/// slot's (worker-warehouse binding) when affinity is on, otherwise uniform.
+TxnTask RunTerminalTxn(Terminal* t, TaskEnv* env) {
+  Workload* w = t->w;
+  const DriverConfig& cfg = *t->cfg;
+  TxnType type = PickType(&t->rnd, cfg);
+  int32_t w_id =
+      cfg.affinity
+          ? static_cast<int32_t>(env->global_slot_id %
+                                 static_cast<uint32_t>(w->scale.warehouses)) +
+                1
+          : static_cast<int32_t>(t->rnd.Uniform(1, w->scale.warehouses));
+  TxnParams params = MakeParams(&t->rnd, w, type, w_id);
 
+  Status st;
   uint64_t backoff = 16;  // yields; doubles per retry with +-backoff jitter
   for (uint32_t attempt = 0;; ++attempt) {
     TxnTask inner = StartAttempt(w, env, params);
@@ -105,12 +118,12 @@ TxnTask RunWithRetry(Workload* w, DriverConfig cfg, TxnType type,
       co_await YieldWait(inner.wait_kind(), inner.wait_xid());
       inner.Resume();
     }
-    Status st = inner.result();
+    st = inner.result();
     bool user_abort = env->global_slot_id >= w->last_abort_user.size() ||
                       w->last_abort_user[env->global_slot_id] != 0;
     if (st.ok() || !st.IsAborted() || user_abort ||
         attempt >= cfg.max_retries) {
-      co_return st;
+      break;
     }
     w->retries.fetch_add(1, std::memory_order_relaxed);
     uint64_t spins = backoff + env->ctx.rng.Next() % backoff;
@@ -121,18 +134,40 @@ TxnTask RunWithRetry(Workload* w, DriverConfig cfg, TxnType type,
     }
     backoff = std::min<uint64_t>(backoff * 2, 1024);
   }
+  // The successor may start on another worker as soon as it is queued, so
+  // nothing below touches the terminal. Every terminal has at most one task
+  // queued, and there are total_slots() terminals against a queue capacity
+  // of 2x total_slots(): this Submit never waits for space. Once Stop() has
+  // begun it enqueues nothing, which ends the loop.
+  if (t->scheduler != nullptr) {
+    t->scheduler->Submit(
+        [t](TaskEnv* e) { return RunTerminalTxn(t, e); });
+  }
+  co_return st;
 }
 
-/// Builds the TaskFn for one transaction. The home warehouse is chosen at
-/// slot level when affinity is on (worker-warehouse binding), otherwise
-/// uniformly at submit time.
-TaskFn MakeTask(Workload* w, const DriverConfig& cfg, TxnType type,
-                int32_t submit_w_id) {
-  // Plain lambda calling a parameterized coroutine function (see the
-  // coroutine-lambda warning in task.h).
-  return [w, cfg, type, submit_w_id](TaskEnv* env) -> TxnTask {
-    return RunWithRetry(w, cfg, type, submit_w_id, env);
-  };
+/// Thread execution model (Exp 6 / Exp 8 baseline): one OS thread per task
+/// slot runs its terminal's transactions to completion with blocking waits.
+/// It also runs the housekeeping the scheduler would: UNDO GC for its own
+/// slot every gc_every_txns transactions, and the global sweep on thread 0.
+void RunThreadTerminal(Terminal* t, uint32_t id, bool pin,
+                       const Scheduler::Hooks& hooks,
+                       const std::atomic<bool>& stop) {
+  if (pin) PinCurrentThread(id);
+  TaskEnv env;
+  env.worker_id = id;
+  env.global_slot_id = id;  // one slot per thread in the thread model
+  env.ctx.partition = id;
+  env.ctx.synchronous = true;
+  env.ctx.rng = Random(0x7EED0000 + id);
+  const uint32_t gc_every = Scheduler::Options().gc_every_txns;
+  for (uint64_t done = 1; !stop.load(std::memory_order_acquire); ++done) {
+    (void)RunTerminalTxn(t, &env).RunToCompletion();
+    if (done % gc_every == 0) {
+      hooks.run_gc(id);
+      if (id == 0) hooks.sweep();
+    }
+  }
 }
 
 struct Snapshot {
@@ -147,7 +182,7 @@ struct Snapshot {
   double at = 0;
 };
 
-Snapshot TakeSnapshot(Workload* w, bool track_allocs) {
+Snapshot TakeSnapshot(Workload* w) {
   Snapshot s;
   s.commits = w->total_commits();
   s.new_orders = w->new_order_commits.load(std::memory_order_relaxed);
@@ -155,14 +190,68 @@ Snapshot TakeSnapshot(Workload* w, bool track_allocs) {
   s.wal_bytes = io.wal_bytes_written.load(std::memory_order_relaxed);
   s.read_bytes = io.data_bytes_read.load(std::memory_order_relaxed);
   s.write_bytes = io.data_bytes_written.load(std::memory_order_relaxed);
-  if (track_allocs) {
-    Profiler::Totals t = Profiler::Aggregate();
-    s.heap_allocs = t.total_heap_allocs;
-    s.heap_bytes = t.total_heap_bytes;
-    s.arena_bytes = t.arena_bytes;
-  }
+  Profiler::Totals t = Profiler::Aggregate();
+  s.heap_allocs = t.total_heap_allocs;
+  s.heap_bytes = t.total_heap_bytes;
+  s.arena_bytes = t.arena_bytes;
   s.at = NowSeconds();
   return s;
+}
+
+/// Waits out the warmup, then measures the configured window while the
+/// terminals run: sampled once per 250 ms into a per-second series, with
+/// allocation tracking on for the window only.
+void MeasureWindow(Workload* w, const DriverConfig& config,
+                   DriverResult* result) {
+  if (config.warmup_seconds > 0) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(config.warmup_seconds));
+  }
+  // Warmup has already paid the one-time pool growth (vector capacities,
+  // arena blocks), so the window reflects steady state.
+  Profiler::EnableAllocTracking(true);
+  Snapshot start = TakeSnapshot(w);
+  Snapshot last = start;
+  const double deadline = start.at + config.seconds;
+  for (double now = start.at; now < deadline; now = NowSeconds()) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(std::min(0.25, deadline - now)));
+    Snapshot cur = TakeSnapshot(w);
+    double dt = cur.at - last.at;
+    if (dt < 0.9) continue;
+    SeriesPoint pt;
+    pt.t = cur.at - start.at;
+    pt.tpmc = static_cast<double>(cur.new_orders - last.new_orders) / dt * 60.0;
+    pt.tpm = static_cast<double>(cur.commits - last.commits) / dt * 60.0;
+    pt.wal_mb_per_s =
+        static_cast<double>(cur.wal_bytes - last.wal_bytes) / dt / 1e6;
+    pt.data_read_mb_per_s =
+        static_cast<double>(cur.read_bytes - last.read_bytes) / dt / 1e6;
+    pt.data_write_mb_per_s =
+        static_cast<double>(cur.write_bytes - last.write_bytes) / dt / 1e6;
+    result->series.push_back(pt);
+    last = cur;
+  }
+  Snapshot end = TakeSnapshot(w);
+  Profiler::EnableAllocTracking(false);
+
+  result->seconds = end.at - start.at;
+  result->commits = end.commits - start.commits;
+  result->new_order_commits = end.new_orders - start.new_orders;
+  result->tpm = static_cast<double>(result->commits) / result->seconds * 60.0;
+  result->tpmc = static_cast<double>(result->new_order_commits) /
+                 result->seconds * 60.0;
+  result->wal_mb_per_s = static_cast<double>(end.wal_bytes - start.wal_bytes) /
+                         result->seconds / 1e6;
+  if (result->commits > 0) {
+    result->heap_allocs = end.heap_allocs - start.heap_allocs;
+    result->heap_bytes = end.heap_bytes - start.heap_bytes;
+    result->arena_bytes = end.arena_bytes - start.arena_bytes;
+    double n = static_cast<double>(result->commits);
+    result->heap_allocs_per_txn = static_cast<double>(result->heap_allocs) / n;
+    result->heap_bytes_per_txn = static_cast<double>(result->heap_bytes) / n;
+    result->arena_bytes_per_txn = static_cast<double>(result->arena_bytes) / n;
+  }
 }
 
 }  // namespace
@@ -229,116 +318,45 @@ DriverResult RunTpcc(Workload* w, const DriverConfig& config) {
   // runs (the vector is indexed lock-free by global_slot_id).
   w->last_abort_user.assign(db->options().total_slots(), 0);
 
-  std::atomic<bool> stop_feeding{false};
-
-  auto run_with = [&](auto& executor) {
-    executor.Start();
-
-    // Feeder thread: keeps the run queues supplied. Tasks are submitted in
-    // batches so the scheduler pays one shard lock + one wakeup per batch
-    // instead of per task.
-    std::thread feeder([&] {
-      constexpr size_t kFeedBatch = 8;
-      TpccRandom rnd(config.seed);
-      std::vector<TaskFn> batch;
-      while (!stop_feeding.load(std::memory_order_acquire)) {
-        batch.clear();
-        batch.reserve(kFeedBatch);
-        for (size_t i = 0; i < kFeedBatch; ++i) {
-          TxnType type = PickType(&rnd, config);
-          int32_t w_id =
-              static_cast<int32_t>(rnd.Uniform(1, w->scale.warehouses));
-          batch.push_back(MakeTask(w, config, type, w_id));
-        }
-        executor.SubmitBatch(std::move(batch));
-        batch = std::vector<TaskFn>();
-      }
-    });
-
-    if (config.warmup_seconds > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          config.warmup_seconds));
-    }
-    // Alloc tracking covers only the measured window: warmup has already
-    // paid the one-time pool growth (vector capacities, arena blocks), so
-    // the window reflects steady state.
-    if (config.track_allocs) Profiler::EnableAllocTracking(true);
-    Snapshot start = TakeSnapshot(w, config.track_allocs);
-    Snapshot last = start;
-
-    double deadline = start.at + config.seconds;
-    while (NowSeconds() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          config.sample_series ? 250 : 50));
-      if (config.sample_series) {
-        Snapshot cur = TakeSnapshot(w, /*track_allocs=*/false);
-        double dt = cur.at - last.at;
-        if (dt >= 0.9) {
-          SeriesPoint pt;
-          pt.t = cur.at - start.at;
-          pt.tpmc = static_cast<double>(cur.new_orders - last.new_orders) /
-                    dt * 60.0;
-          pt.tpm = static_cast<double>(cur.commits - last.commits) / dt * 60.0;
-          pt.wal_mb_per_s =
-              static_cast<double>(cur.wal_bytes - last.wal_bytes) / dt / 1e6;
-          pt.data_read_mb_per_s =
-              static_cast<double>(cur.read_bytes - last.read_bytes) / dt / 1e6;
-          pt.data_write_mb_per_s =
-              static_cast<double>(cur.write_bytes - last.write_bytes) / dt /
-              1e6;
-          result.series.push_back(pt);
-          last = cur;
-        }
-      }
-    }
-    Snapshot end = TakeSnapshot(w, config.track_allocs);
-    if (config.track_allocs) Profiler::EnableAllocTracking(false);
-
-    stop_feeding.store(true, std::memory_order_release);
-    executor.Stop();
-    feeder.join();
-
-    if constexpr (std::is_same_v<std::decay_t<decltype(executor)>,
-                                 Scheduler>) {
-      result.sched_per_worker = executor.PerWorkerStats();
-      result.sched = executor.TotalStats();
-    }
-
-    result.seconds = end.at - start.at;
-    result.commits = end.commits - start.commits;
-    result.new_order_commits = end.new_orders - start.new_orders;
-    result.tpm = static_cast<double>(result.commits) / result.seconds * 60.0;
-    result.tpmc = static_cast<double>(result.new_order_commits) /
-                  result.seconds * 60.0;
-    result.wal_mb_per_s =
-        static_cast<double>(end.wal_bytes - start.wal_bytes) /
-        result.seconds / 1e6;
-    if (config.track_allocs && result.commits > 0) {
-      result.heap_allocs = end.heap_allocs - start.heap_allocs;
-      result.heap_bytes = end.heap_bytes - start.heap_bytes;
-      result.arena_bytes = end.arena_bytes - start.arena_bytes;
-      double n = static_cast<double>(result.commits);
-      result.heap_allocs_per_txn = static_cast<double>(result.heap_allocs) / n;
-      result.heap_bytes_per_txn = static_cast<double>(result.heap_bytes) / n;
-      result.arena_bytes_per_txn = static_cast<double>(result.arena_bytes) / n;
-    }
-  };
+  // One terminal per task slot, in both execution models.
+  const uint32_t slots = db->options().workers * db->options().slots_per_worker;
+  std::vector<Terminal> terminals;
+  terminals.reserve(slots);
+  for (uint32_t i = 0; i < slots; ++i) {
+    terminals.push_back(Terminal{
+        TpccRandom(config.seed ^ (0x9E3779B97F4A7C15ull * (i + 1))), &config,
+        w});
+  }
 
   if (config.thread_model) {
-    ThreadExecutor::Options opts;
-    opts.threads = config.thread_model_threads != 0
-                       ? config.thread_model_threads
-                       : db->options().workers * db->options().slots_per_worker;
-    opts.pin_threads = config.pin_workers;
-    ThreadExecutor executor(opts);
-    run_with(executor);
+    Scheduler::Hooks hooks = db->MakeSchedulerHooks();
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> threads;
+    threads.reserve(slots);
+    for (uint32_t i = 0; i < slots; ++i) {
+      threads.emplace_back([&, i] {
+        RunThreadTerminal(&terminals[i], i, config.pin_workers, hooks, stop);
+      });
+    }
+    MeasureWindow(w, config, &result);
+    stop.store(true, std::memory_order_release);
+    for (auto& t : threads) t.join();
   } else {
     Scheduler::Options opts;
     opts.workers = db->options().workers;
     opts.slots_per_worker = db->options().slots_per_worker;
     opts.pin_workers = config.pin_workers;
     Scheduler scheduler(opts, db->MakeSchedulerHooks());
-    run_with(scheduler);
+    scheduler.Start();
+    for (Terminal& t : terminals) {
+      t.scheduler = &scheduler;
+      Terminal* tp = &t;
+      scheduler.Submit([tp](TaskEnv* env) { return RunTerminalTxn(tp, env); });
+    }
+    MeasureWindow(w, config, &result);
+    scheduler.Stop();
+    result.sched_per_worker = scheduler.PerWorkerStats();
+    result.sched = scheduler.TotalStats();
   }
 
   result.user_aborts = w->user_aborts.load(std::memory_order_relaxed);

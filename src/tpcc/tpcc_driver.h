@@ -9,14 +9,15 @@
 namespace phoebe {
 namespace tpcc {
 
-/// Driver configuration (HammerDB-TPROC-C style: no keying/think times; the
-/// standard 45/43/4/4/4 mix).
+/// Driver configuration (HammerDB-TPROC-C style: one closed-loop terminal
+/// per task slot, no keying/think times; the standard 45/43/4/4/4 mix, with
+/// StockLevel taking whatever the other four percentages leave).
 struct DriverConfig {
   double seconds = 5.0;
   double warmup_seconds = 0.5;
-  /// Thread execution model instead of the coroutine pool (Exp 6).
+  /// Thread execution model instead of the coroutine pool (Exp 6): one OS
+  /// thread per task slot.
   bool thread_model = false;
-  uint32_t thread_model_threads = 0;  // 0 = total slots of the scheduler
   /// Workload affinity: each task slot is bound to a home warehouse
   /// (worker-to-warehouse binding, enabled by default in the paper).
   bool affinity = true;
@@ -26,18 +27,11 @@ struct DriverConfig {
   int pct_payment = 43;
   int pct_order_status = 4;
   int pct_delivery = 4;
-  int pct_stock_level = 4;
-  /// Per-second time-series sampling (Exp 3/4 plots).
-  bool sample_series = false;
   /// Bounded re-execution of system-aborted transactions (deadlock timeout,
   /// write-write conflict) with jittered exponential backoff between
   /// attempts. User-initiated aborts (the 1% NewOrder rollback) are never
   /// retried. 0 disables retries.
   uint32_t max_retries = 5;
-  /// Count heap/arena allocations during the measured window (Profiler
-  /// alloc tracking; the "#ALLOC" summary line). Adds one counted atomic
-  /// increment per allocation while enabled.
-  bool track_allocs = true;
 };
 
 struct SeriesPoint {
@@ -62,6 +56,7 @@ struct DriverResult {
   double wal_mb_per_s = 0;
   /// Mean time a committing transaction spent waiting for durability.
   double avg_commit_wait_us = 0;
+  /// Per-second samples of the measured window (Exp 3/4 plots).
   std::vector<SeriesPoint> series;
 
   /// Scheduler dispatch counters (coroutine model only; empty per-worker
@@ -73,8 +68,8 @@ struct DriverResult {
   std::string recovery_line;
 
   /// Allocation profile of the measured window (whole process, all txn
-  /// types; zero when DriverConfig::track_allocs is off). The "#ALLOC"
-  /// summary line reports the per-committed-transaction rates.
+  /// types; Profiler alloc tracking is on for the window only). The
+  /// "#ALLOC" summary line reports the per-committed-transaction rates.
   uint64_t heap_allocs = 0;
   uint64_t heap_bytes = 0;
   uint64_t arena_bytes = 0;
@@ -85,7 +80,9 @@ struct DriverResult {
   std::string Summary() const;
 };
 
-/// Runs the TPC-C mix against `workload` for the configured duration.
+/// Runs the TPC-C mix against `workload` for the configured duration, one
+/// closed-loop terminal per task slot (workers x slots_per_worker) in
+/// either execution model.
 DriverResult RunTpcc(Workload* workload, const DriverConfig& config);
 
 /// TPC-C consistency checks (clause 3.3.2.1-3.3.2.4): W_YTD = sum(D_YTD);

@@ -5,7 +5,6 @@
 
 #include "runtime/scheduler.h"
 #include "runtime/task.h"
-#include "runtime/thread_executor.h"
 #include "tests/test_util.h"
 
 namespace phoebe {
@@ -60,14 +59,6 @@ TxnTask OverlapTask(std::atomic<int>* active, std::atomic<int>* active_max) {
 
 TxnTask MaybeAbortTask(int i) {
   if (i % 2 == 0) co_return Status::Aborted("x");
-  co_return Status::OK();
-}
-
-TxnTask YieldNTimesThenCount(std::atomic<int>* done, int yields) {
-  for (int k = 0; k < yields; ++k) {
-    co_await YieldWait(WaitKind::kLatch, 0);
-  }
-  done->fetch_add(1);
   co_return Status::OK();
 }
 
@@ -213,43 +204,6 @@ TEST(SchedulerTest, HousekeepingHooksRun) {
   EXPECT_GT(swaps.load(), 0);
   EXPECT_GT(gcs.load(), 0);
   EXPECT_GT(sweeps.load(), 0);
-}
-
-// --- ThreadExecutor ------------------------------------------------------------------
-
-TEST(ThreadExecutorTest, RunsTasksSynchronously) {
-  ThreadExecutor::Options opts;
-  opts.threads = 4;
-  ThreadExecutor exec(opts);
-  exec.Start();
-  std::atomic<int> done{0};
-  for (int i = 0; i < 50; ++i) {
-    exec.Submit([&done](TaskEnv* env) {
-      EXPECT_TRUE(env->ctx.synchronous);
-      return CountingTask(&done, false);
-    });
-  }
-  while (exec.completed() < 50) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  exec.Stop();
-  EXPECT_EQ(done.load(), 50);
-}
-
-TEST(ThreadExecutorTest, YieldingTasksSpinThrough) {
-  ThreadExecutor::Options opts;
-  opts.threads = 2;
-  ThreadExecutor exec(opts);
-  exec.Start();
-  std::atomic<int> done{0};
-  for (int i = 0; i < 8; ++i) {
-    exec.Submit([&done](TaskEnv*) { return YieldNTimesThenCount(&done, 5); });
-  }
-  while (exec.completed() < 8) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  exec.Stop();
-  EXPECT_EQ(done.load(), 8);
 }
 
 }  // namespace

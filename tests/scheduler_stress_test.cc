@@ -42,6 +42,38 @@ TxnTask SeededTask(std::atomic<uint64_t>* done, uint64_t seed) {
   co_return Status::OK();
 }
 
+/// Yields until `release` is set: holds a slot for as long as the test wants.
+TxnTask GatedTask(std::atomic<uint64_t>* done,
+                  const std::atomic<bool>* release) {
+  while (!release->load(std::memory_order_acquire)) {
+    co_await YieldWait(WaitKind::kXidLock, 0);
+  }
+  done->fetch_add(1, std::memory_order_relaxed);
+  co_return Status::OK();
+}
+
+/// A closed-loop chain: exactly one of its tasks is queued or running at a
+/// time, and each task's last action is to submit its successor from the
+/// worker it runs on (the TPC-C terminal pattern).
+struct Chain {
+  Scheduler* sched = nullptr;
+  std::atomic<uint64_t>* done = nullptr;
+  Random rng{0};
+};
+
+TxnTask ChainTask(Chain* c) {
+  int yields = static_cast<int>(c->rng.Uniform(4));
+  for (int i = 0; i < yields; ++i) {
+    co_await YieldWait(WaitKind::kLatch, 0);
+  }
+  bool abort = c->rng.Uniform(4) == 0;
+  c->done->fetch_add(1, std::memory_order_relaxed);
+  // Nothing touches the chain after this: the successor may start on
+  // another worker as soon as it is queued.
+  c->sched->Submit([c](TaskEnv*) { return ChainTask(c); });
+  co_return abort ? Status::Aborted("chain abort") : Status::OK();
+}
+
 /// Waits until `sched.completed() == expect` with a generous deadline so a
 /// lost task shows up as a test failure rather than a ctest hang.
 void WaitCompleted(const Scheduler& sched, uint64_t expect,
@@ -55,8 +87,10 @@ void WaitCompleted(const Scheduler& sched, uint64_t expect,
   ASSERT_EQ(sched.completed(), expect);
 }
 
-// All tasks arrive from a single producer routed at one shard: the other
-// workers must acquire everything they run by stealing.
+// A fresh scheduler routes the i-th Submit to shard i % workers, so every
+// long task lands on shard 0 and every other shard gets only quick tasks:
+// the other workers drain their own shards and must then steal shard 0's
+// backlog.
 TEST(SchedulerStressTest, SkewedSubmitSingleShard) {
   Scheduler::Options opts;
   opts.workers = 4;
@@ -66,9 +100,11 @@ TEST(SchedulerStressTest, SkewedSubmitSingleShard) {
   std::atomic<uint64_t> done{0};
   constexpr uint64_t kTasks = 2000;
   for (uint64_t i = 0; i < kTasks; ++i) {
-    sched.SubmitToWorker(0, [&done](TaskEnv*) {
-      return YieldingTask(&done, 3);
-    });
+    if (i % opts.workers == 0) {
+      sched.Submit([&done](TaskEnv*) { return YieldingTask(&done, 100); });
+    } else {
+      sched.Submit([&done](TaskEnv*) { return QuickTask(&done); });
+    }
   }
   WaitCompleted(sched, kTasks);
   SchedulerStats total = sched.TotalStats();
@@ -77,66 +113,54 @@ TEST(SchedulerStressTest, SkewedSubmitSingleShard) {
   EXPECT_EQ(total.submitted, kTasks);
   EXPECT_EQ(total.pulled + total.stolen, kTasks);
   EXPECT_GT(total.stolen, 0u) << "skewed load must trigger stealing";
-  // Only shard 0 ever received submissions.
+  // Round-robin routing: every shard received the same number of submits.
   std::vector<SchedulerStats> per = sched.PerWorkerStats();
   ASSERT_EQ(per.size(), 4u);
-  EXPECT_EQ(per[0].submitted, kTasks);
-  for (size_t w = 1; w < per.size(); ++w) EXPECT_EQ(per[w].submitted, 0u);
+  for (size_t w = 0; w < per.size(); ++w) {
+    EXPECT_EQ(per[w].submitted, kTasks / opts.workers) << "shard " << w;
+  }
 }
 
-// One worker's slots are saturated by long yield-loop tasks while its shard
-// queue keeps growing: the idle workers must drain it by stealing.
+// Worker 0's slots are held by gated tasks that finish only after every
+// quick task has run, while round-robin routing keeps adding quick tasks to
+// worker 0's shard: the idle workers must drain it by stealing. The gated
+// tasks take shard 0's first positions (0 and 4); if another worker takes
+// one of them first, that is a steal from shard 0 as well.
 TEST(SchedulerStressTest, StealHeavyOneBusyWorker) {
   Scheduler::Options opts;
   opts.workers = 4;
   opts.slots_per_worker = 2;
   Scheduler sched(opts, {});
   sched.Start();
-  std::atomic<uint64_t> done{0};
-  // Pin worker 0's two slots with long-yielding tasks.
-  for (uint32_t i = 0; i < opts.slots_per_worker; ++i) {
-    sched.SubmitToWorker(0, [&done](TaskEnv*) {
-      return YieldingTask(&done, 5000);
-    });
-  }
-  // Then pile quick tasks onto the busy worker's shard.
+  std::atomic<uint64_t> gated_done{0};
+  std::atomic<uint64_t> quick_done{0};
+  std::atomic<bool> release{false};
   constexpr uint64_t kQuick = 1000;
-  for (uint64_t i = 0; i < kQuick; ++i) {
-    sched.SubmitToWorker(0, [&done](TaskEnv*) { return QuickTask(&done); });
+  const uint64_t gated = opts.slots_per_worker;
+  for (uint64_t i = 0; i < kQuick + gated; ++i) {
+    if (i % opts.workers == 0 && i / opts.workers < gated) {
+      sched.Submit([&](TaskEnv*) { return GatedTask(&gated_done, &release); });
+    } else {
+      sched.Submit([&](TaskEnv*) { return QuickTask(&quick_done); });
+    }
   }
-  WaitCompleted(sched, kQuick + opts.slots_per_worker);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (quick_done.load() < kQuick &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(quick_done.load(), kQuick);
+  release.store(true, std::memory_order_release);
+  WaitCompleted(sched, kQuick + gated);
   SchedulerStats total = sched.TotalStats();
   std::vector<SchedulerStats> per = sched.PerWorkerStats();
   sched.Stop();
-  EXPECT_EQ(done.load(), kQuick + opts.slots_per_worker);
+  EXPECT_EQ(gated_done.load(), gated);
   EXPECT_GT(total.stolen, 0u);
   uint64_t stolen_by_others = 0;
   for (size_t w = 1; w < per.size(); ++w) stolen_by_others += per[w].stolen;
   EXPECT_GT(stolen_by_others, 0u)
       << "idle workers must have stolen from the busy shard";
-}
-
-// Batched submission: every task of every batch runs exactly once.
-TEST(SchedulerStressTest, SubmitBatchRunsEveryTask) {
-  Scheduler::Options opts;
-  opts.workers = 2;
-  opts.slots_per_worker = 4;
-  Scheduler sched(opts, {});
-  sched.Start();
-  std::atomic<uint64_t> done{0};
-  constexpr uint64_t kBatches = 100;
-  constexpr uint64_t kPerBatch = 16;
-  for (uint64_t b = 0; b < kBatches; ++b) {
-    std::vector<TaskFn> batch;
-    batch.reserve(kPerBatch);
-    for (uint64_t i = 0; i < kPerBatch; ++i) {
-      batch.push_back([&done](TaskEnv*) { return YieldingTask(&done, 2); });
-    }
-    sched.SubmitBatch(std::move(batch));
-  }
-  WaitCompleted(sched, kBatches * kPerBatch);
-  sched.Stop();
-  EXPECT_EQ(done.load(), kBatches * kPerBatch);
 }
 
 // A Stop() racing submitters blocked on backpressure must unblock them
@@ -171,28 +195,6 @@ TEST(SchedulerStressTest, StopDuringBlockedSubmit) {
   }
 }
 
-TEST(SchedulerStressTest, TrySubmitRespectsStopAndBound) {
-  Scheduler::Options opts;
-  opts.workers = 2;
-  opts.slots_per_worker = 2;
-  Scheduler sched(opts, {});
-  // Not started: queue fills to the bound, then TrySubmit refuses.
-  std::atomic<uint64_t> done{0};
-  uint64_t accepted = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (sched.TrySubmit([&done](TaskEnv*) { return QuickTask(&done); })) {
-      ++accepted;
-    }
-  }
-  EXPECT_EQ(accepted, 2ull * sched.total_slots());
-  sched.Start();
-  WaitCompleted(sched, accepted);
-  sched.Stop();
-  EXPECT_FALSE(
-      sched.TrySubmit([&done](TaskEnv*) { return QuickTask(&done); }));
-  EXPECT_EQ(done.load(), accepted);
-}
-
 // Determinism of the bookkeeping: across 100 seeded runs, every submitted
 // task is completed exactly once and committed + aborted == completed.
 TEST(SchedulerStressTest, SeededRunsCompleteExactly) {
@@ -207,16 +209,9 @@ TEST(SchedulerStressTest, SeededRunsCompleteExactly) {
     Random rng(seed);
     for (uint64_t i = 0; i < kTasks; ++i) {
       uint64_t task_seed = rng.Next();
-      if (i % 2 == 0) {
-        sched.Submit([&done, task_seed](TaskEnv*) {
-          return SeededTask(&done, task_seed);
-        });
-      } else {
-        sched.SubmitToWorker(static_cast<uint32_t>(task_seed),
-                             [&done, task_seed](TaskEnv*) {
-                               return SeededTask(&done, task_seed);
-                             });
-      }
+      sched.Submit([&done, task_seed](TaskEnv*) {
+        return SeededTask(&done, task_seed);
+      });
     }
     WaitCompleted(sched, kTasks);
     SchedulerStats total = sched.TotalStats();
@@ -231,6 +226,52 @@ TEST(SchedulerStressTest, SeededRunsCompleteExactly) {
     // capacity.
     ASSERT_LE(total.queue_depth_hwm, 2ull * sched.total_slots())
         << "seed " << seed;
+  }
+}
+
+// Closed-loop chains, one per task slot, each re-submitting its successor
+// from inside the worker: at most one task per chain is ever queued, so the
+// in-worker Submit never waits for space (a blocked worker would stall the
+// count below), and a Stop() in the middle of the chains returns, drains
+// what was queued, and ends every chain.
+TEST(SchedulerStressTest, ClosedLoopResubmitStops) {
+  for (uint32_t round = 0; round < 12; ++round) {
+    Scheduler::Options opts;
+    opts.workers = 1 + round % 4;
+    opts.slots_per_worker = 1 + round % 3;
+    Scheduler sched(opts, {});
+    const uint32_t chains = sched.total_slots();
+    std::atomic<uint64_t> done{0};
+    std::vector<Chain> chain(chains);
+    sched.Start();
+    for (uint32_t i = 0; i < chains; ++i) {
+      chain[i].sched = &sched;
+      chain[i].done = &done;
+      chain[i].rng = Random(round * 1000 + i + 1);
+      Chain* c = &chain[i];
+      sched.Submit([c](TaskEnv*) { return ChainTask(c); });
+    }
+    const uint64_t target = 500 + 250 * (round % 4);
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (sched.completed() < target &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    ASSERT_GE(sched.completed(), target) << "round " << round;
+    sched.Stop();
+    SchedulerStats total = sched.TotalStats();
+    const uint64_t completed = sched.completed();
+    EXPECT_EQ(completed, sched.committed() + sched.aborted())
+        << "round " << round;
+    EXPECT_EQ(done.load(), completed) << "round " << round;
+    // Every accepted successor ran: Stop() drains the queues.
+    EXPECT_EQ(total.submitted, completed) << "round " << round;
+    EXPECT_EQ(total.pulled + total.stolen, completed) << "round " << round;
+    EXPECT_LE(total.queue_depth_hwm, chains) << "round " << round;
+    // The chains are over: nothing runs or completes after Stop().
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_EQ(sched.completed(), completed) << "round " << round;
   }
 }
 
