@@ -5,6 +5,7 @@
 #include "bench/bench_common.h"
 #include "common/coding.h"
 #include "storage/btree.h"
+#include "tpcc/tpcc_schema.h"
 
 namespace phoebe {
 namespace {
@@ -197,6 +198,60 @@ void BM_BTreeScan100Composite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BTreeScan100Composite);
+
+// --- Table::GetRef on TPC-C STOCK rows ----------------------------------------
+// 17 columns, 290 bytes of strings per row. Sequential row ids stay in the
+// leaf the transaction read last (leaf re-access, DESIGN.md 4h); random ones
+// descend from the root almost every time. "projected" reads s_quantity only
+// (DESIGN.md 4g). A transaction spans 1024 reads, so its arena stays small.
+
+bench::TpccInstance* StockInstance() {
+  static std::unique_ptr<bench::TpccInstance> inst = [] {
+    tpcc::ScaleConfig scale;
+    scale.customers_per_district = 30;
+    scale.initial_orders_per_district = 30;
+    scale.undelivered_tail = 9;
+    scale.items = 20000;
+    DatabaseOptions opts;
+    opts.workers = 1;
+    opts.wal_sync = false;
+    return bench::SetupTpcc("micro_btree_stock", opts, scale);
+  }();
+  return inst.get();
+}
+
+void BM_TableGetRef(benchmark::State& state) {
+  bench::TpccInstance* inst = StockInstance();
+  Database* db = inst->db.get();
+  Table* stock = inst->workload->tables.stock;
+  const RowId n = stock->next_row_id() - 1;
+  const bool random = state.range(0) != 0;
+  const ColumnSet cols =
+      state.range(1) != 0 ? ColumnBit(tpcc::Stock::kQuantity) : kAllColumns;
+  OpContext ctx;
+  Random rng(6);
+  RowId next = 1;
+  int reads = 0;
+  Transaction* txn = db->Begin(db->aux_slot(0));
+  for (auto _ : state) {
+    const RowId rid = random ? 1 + rng.Uniform(n) : next;
+    next = next == n ? 1 : next + 1;
+    Slice row;
+    benchmark::DoNotOptimize(stock->GetRef(&ctx, txn, rid, &row, cols));
+    if (++reads == 1024) {
+      (void)db->Commit(&ctx, txn);
+      txn = db->Begin(db->aux_slot(0));
+      reads = 0;
+    }
+  }
+  (void)db->Commit(&ctx, txn);
+}
+BENCHMARK(BM_TableGetRef)
+    ->ArgNames({"random", "projected"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
 
 }  // namespace
 }  // namespace phoebe

@@ -90,6 +90,8 @@ Profiler::Totals Profiler::Aggregate() {
     }
     out.total_cycles += tc->total_cycles;
     out.txn_count += tc->txn_count;
+    out.leaf_cache_reads += tc->leaf_cache_reads;
+    out.leaf_cache_hits += tc->leaf_cache_hits;
     out.total_heap_allocs +=
         tc->total_heap_allocs.load(std::memory_order_relaxed);
     out.total_heap_bytes +=
@@ -109,6 +111,8 @@ void Profiler::Reset() {
     tc->cycles.fill(0);
     tc->total_cycles = 0;
     tc->txn_count = 0;
+    tc->leaf_cache_reads = 0;
+    tc->leaf_cache_hits = 0;
     for (int i = 0; i < kN; ++i) {
       tc->heap_allocs[i].store(0, std::memory_order_relaxed);
       tc->heap_bytes[i].store(0, std::memory_order_relaxed);

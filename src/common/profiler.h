@@ -68,6 +68,10 @@ class Profiler {
     std::array<uint64_t, kN> cycles{};
     uint64_t total_cycles = 0;
     uint64_t txn_count = 0;
+    /// BTree::FixLeafShared calls given a LeafCache, and those that reused
+    /// the cached leaf instead of descending.
+    uint64_t leaf_cache_reads = 0;
+    uint64_t leaf_cache_hits = 0;
     std::array<std::atomic<uint64_t>, kN> heap_allocs{};
     std::array<std::atomic<uint64_t>, kN> heap_bytes{};
     std::atomic<uint64_t> total_heap_allocs{0};
@@ -81,6 +85,8 @@ class Profiler {
     std::array<uint64_t, kN> cycles{};
     uint64_t total_cycles = 0;
     uint64_t txn_count = 0;
+    uint64_t leaf_cache_reads = 0;
+    uint64_t leaf_cache_hits = 0;
     std::array<uint64_t, kN> heap_allocs{};
     std::array<uint64_t, kN> heap_bytes{};
     uint64_t total_heap_allocs = 0;

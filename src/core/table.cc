@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <optional>
 #include <unordered_set>
 
 #include "common/arena.h"
@@ -349,14 +350,14 @@ Status Table::Get(OpContext* ctx, Transaction* txn, RowId rid,
 }
 
 Status Table::GetRef(OpContext* ctx, Transaction* txn, RowId rid,
-                     Slice* row) {
+                     Slice* row, ColumnSet cols) {
   // Tree first: live tree rows are authoritative even below the frozen
   // watermark (a freeze that raced a writer leaves a stale, shadowed block;
   // see DESIGN.md 4b). Frozen store is the fallback.
   Arena* arena = ScratchOf(ctx, txn);
   LeafGuard g;
-  PHOEBE_RETURN_IF_ERROR(
-      tree_->FixLeaf(ctx, BTree::TableKey(rid), LatchMode::kShared, &g));
+  PHOEBE_RETURN_IF_ERROR(tree_->FixLeafShared(ctx, BTree::TableKey(rid),
+                                              &txn->leaf_cache, &g));
   TableLeaf leaf(g.page(), &schema_, &layout_);
   uint16_t slot;
   if (!leaf.InRange(rid) || !leaf.IsLive(slot = leaf.SlotOf(rid))) {
@@ -373,7 +374,7 @@ Status Table::GetRef(OpContext* ctx, Transaction* txn, RowId rid,
   }
   // Materialize the base row into the arena so it survives releasing the
   // page latch (the visible version may borrow it directly).
-  Result<Slice> base = leaf.ReadRowTo(slot, arena);
+  Result<Slice> base = leaf.ReadRowTo(slot, arena, cols);
   if (!base.ok()) return base.status();
   bool base_deleted = leaf.IsDeleted(slot);
   TwinTable* twin = TwinTable::Of(g.frame());
@@ -686,7 +687,7 @@ Status Table::IndexGet(OpContext* ctx, Transaction* txn, size_t index_no,
 
 Status Table::IndexGetRef(OpContext* ctx, Transaction* txn, size_t index_no,
                           const std::vector<Value>& key_values, RowId* rid,
-                          Slice* row) {
+                          Slice* row, ColumnSet cols) {
   IndexDef& idx = *indexes_[index_no];
   if (key_values.size() != idx.key_columns.size()) {
     return Status::InvalidArgument("key value count mismatch");
@@ -695,10 +696,11 @@ Status Table::IndexGetRef(OpContext* ctx, Transaction* txn, size_t index_no,
       EncodeKey(schema_, idx.key_columns, key_values, ScratchOf(ctx, txn));
   if (!key.ok()) return key.status();
   uint64_t value = 0;
-  PHOEBE_RETURN_IF_ERROR(idx.tree->IndexLookup(ctx, key.value(), &value));
+  PHOEBE_RETURN_IF_ERROR(
+      idx.tree->IndexLookup(ctx, key.value(), &value, &txn->leaf_cache));
   if (rid != nullptr) *rid = value;
   if (row != nullptr) {
-    return GetRef(ctx, txn, value, row);
+    return GetRef(ctx, txn, value, row, cols);
   }
   return Status::OK();
 }
@@ -716,7 +718,8 @@ Status Table::IndexScan(
 Status Table::IndexScanRef(OpContext* ctx, Transaction* txn, size_t index_no,
                            const std::vector<Value>& lo_values,
                            const std::vector<Value>& hi_values,
-                           FunctionRef<bool(RowId, Slice)> cb) {
+                           FunctionRef<bool(RowId, Slice)> cb,
+                           ColumnSet cols) {
   IndexDef& idx = *indexes_[index_no];
   Arena* arena = ScratchOf(ctx, txn);
   Result<Slice> lo = EncodeKey(schema_, idx.key_columns, lo_values, arena);
@@ -733,18 +736,39 @@ Status Table::IndexScanRef(OpContext* ctx, Transaction* txn, size_t index_no,
     hi = h.value();
   }
 
-  std::vector<RowId> rids;
+  // The row ids go to the arena, in a buffer that doubles when full (the
+  // arena keeps at most twice the ids).
+  RowId* rids = nullptr;
+  size_t n = 0;
+  size_t cap = 0;
   PHOEBE_RETURN_IF_ERROR(idx.tree->IndexScan(
-      ctx, lo.value(), hi, [&rids](Slice, uint64_t v) {
-        rids.push_back(v);
+      ctx, lo.value(), hi, [&](Slice, uint64_t v) {
+        if (n == cap) {
+          cap = cap == 0 ? 64 : 2 * cap;
+          auto* grown =
+              reinterpret_cast<RowId*>(arena->Allocate(cap * sizeof(RowId)));
+          if (n > 0) memcpy(grown, rids, n * sizeof(RowId));
+          rids = grown;
+        }
+        rids[n++] = v;
         return true;
       }));
-  for (RowId rid : rids) {
+  // Once a row has reached `cb`, a kBlocked status would make the caller
+  // re-run the scan and deliver that row again, so the rest are read on a
+  // synchronous view of `ctx`, which waits instead of yielding.
+  std::optional<OpContext> sync;
+  OpContext* read_ctx = ctx;
+  for (size_t i = 0; i < n; ++i) {
     Slice row;
-    Status st = GetRef(ctx, txn, rid, &row);
+    Status st = GetRef(read_ctx, txn, rids[i], &row, cols);
     if (st.IsNotFound()) continue;  // not visible to this snapshot
     PHOEBE_RETURN_IF_ERROR(st);
-    if (!cb(rid, row)) break;
+    if (!cb(rids[i], row)) break;
+    if (!sync.has_value()) {
+      sync.emplace();
+      sync->InitSyncViewOf(*ctx);
+      read_ctx = &*sync;
+    }
   }
   return Status::OK();
 }

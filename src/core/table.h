@@ -112,7 +112,14 @@ class Table {
   /// Allocation-free read: `*row` borrows the transaction's scratch arena
   /// (or the base row materialized into it), valid until the slot's next
   /// Begin resets the arena (DESIGN.md 4g). The hot-path variant of Get.
-  Status GetRef(OpContext* ctx, Transaction* txn, RowId rid, Slice* row);
+  ///
+  /// Projection (DESIGN.md 4g): only the columns in `cols` are guaranteed.
+  /// A version read from the page carries the others as null; one rebuilt
+  /// from UNDO or read from the frozen store may carry some of them, so the
+  /// caller reads only the columns it listed. A column at index >= 64 is
+  /// always materialized. A projected row must never be handed to a write.
+  Status GetRef(OpContext* ctx, Transaction* txn, RowId rid, Slice* row,
+                ColumnSet cols = kAllColumns);
 
   /// Unique-index point lookup with visibility check.
   Status IndexGet(OpContext* ctx, Transaction* txn, size_t index_no,
@@ -120,10 +127,10 @@ class Table {
                   std::string* row);
 
   /// Allocation-free point lookup: the key is encoded into the transaction
-  /// arena and `*row` borrows it like GetRef.
+  /// arena and `*row` borrows it like GetRef, projected to `cols`.
   Status IndexGetRef(OpContext* ctx, Transaction* txn, size_t index_no,
                      const std::vector<Value>& key_values, RowId* rid,
-                     Slice* row);
+                     Slice* row, ColumnSet cols = kAllColumns);
 
   /// Ascending index range scan over [lo, hi) key prefixes; `cb` receives
   /// each *visible* row, returns false to stop. Pass empty hi_values to use
@@ -136,11 +143,15 @@ class Table {
   /// Allocation-free scan variant: row slices borrow the transaction arena
   /// and stay valid until the slot's next Begin (they are NOT invalidated
   /// between callback invocations, so callers may hold on to them for the
-  /// rest of the transaction).
+  /// rest of the transaction). Rows are projected to `cols` like GetRef.
+  /// Each visible row reaches `cb` exactly once: a kBlocked status is only
+  /// returned before the first row was delivered, and the rows after it are
+  /// read synchronously.
   Status IndexScanRef(OpContext* ctx, Transaction* txn, size_t index_no,
                       const std::vector<Value>& lo_values,
                       const std::vector<Value>& hi_values,
-                      FunctionRef<bool(RowId, Slice)> cb);
+                      FunctionRef<bool(RowId, Slice)> cb,
+                      ColumnSet cols = kAllColumns);
 
   /// Full scan of all visible rows (hot/cold + frozen), row-id order within
   /// each tier (frozen first). Maintenance/verification use.

@@ -341,6 +341,52 @@ Status BTree::FixLeaf(OpContext* ctx, const Slice& key, LatchMode mode,
   return DescendToLeaf(ctx, key, mode, false, false, out, nullptr);
 }
 
+bool BTree::LeafCovers(const char* page, const Slice& key) const {
+  if (kind_ == TreeKind::kTable) {
+    const RowId rid = DecodeBigEndian64(key.data());
+    return TableLeaf(const_cast<char*>(page), schema_, layout_).InRange(rid);
+  }
+  const IndexLeaf* leaf = IndexLeaf::Cast(page);
+  return key.compare(leaf->lower_fence()) >= 0 &&
+         (!leaf->has_upper_fence() || key.compare(leaf->upper_fence()) < 0);
+}
+
+Status BTree::FixLeafShared(OpContext* ctx, const Slice& key,
+                            LeafCache* cache, LeafGuard* out) {
+  const LeafCache::Entry* e = cache != nullptr ? cache->Find(this) : nullptr;
+  bool hit = false;
+  if (e != nullptr && e->frame->latch.TryLockShared()) {
+    // Every change that could make the entry wrong (split, merge, cooling,
+    // eviction, detach, frame reuse) holds the exclusive latch, whose
+    // unlock bumps the version; the version cannot move while we hold the
+    // shared latch. A cooling frame is left to the descent, whose
+    // second-chance rescue makes it hot again. The page is read only now.
+    BufferFrame* bf = e->frame;
+    hit = (bf->latch.RawWord() >> HybridLatch::kVersionShift) == e->version &&
+          bf->state.load(std::memory_order_acquire) == FrameState::kHot &&
+          LeafCovers(bf->page, key);
+    if (hit) {
+      if (ctx->count_accesses) bf->Touch(pool_->current_epoch());
+      *out = LeafGuard(bf, LatchMode::kShared);
+    } else {
+      bf->latch.UnlockShared();
+    }
+  }
+  if (cache != nullptr && Profiler::enabled()) {
+    Profiler::ThreadCounters& local = Profiler::Local();
+    local.leaf_cache_reads += 1;
+    local.leaf_cache_hits += hit ? 1 : 0;
+  }
+  if (hit) return Status::OK();
+  PHOEBE_RETURN_IF_ERROR(
+      DescendToLeaf(ctx, key, LatchMode::kShared, false, false, out, nullptr));
+  if (cache != nullptr) {
+    BufferFrame* bf = out->frame();
+    cache->Record(this, bf, bf->latch.RawWord() >> HybridLatch::kVersionShift);
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // Pessimistic descent (splits)
 // ---------------------------------------------------------------------------
@@ -608,9 +654,10 @@ Status BTree::IndexRemove(OpContext* ctx, const Slice& key) {
   return Status::OK();
 }
 
-Status BTree::IndexLookup(OpContext* ctx, const Slice& key, uint64_t* value) {
+Status BTree::IndexLookup(OpContext* ctx, const Slice& key, uint64_t* value,
+                          LeafCache* cache) {
   LeafGuard g;
-  PHOEBE_RETURN_IF_ERROR(FixLeaf(ctx, key, LatchMode::kShared, &g));
+  PHOEBE_RETURN_IF_ERROR(FixLeafShared(ctx, key, cache, &g));
   IndexLeaf* leaf = IndexLeaf::Cast(g.page());
   int pos;
   {

@@ -13,6 +13,7 @@
 #include "common/constants.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "storage/leaf_cache.h"
 #include "storage/node.h"
 #include "storage/op_context.h"
 #include "storage/schema.h"
@@ -102,6 +103,14 @@ class BTree {
   Status FixLeaf(OpContext* ctx, const Slice& key, LatchMode mode,
                  LeafGuard* out);
 
+  /// Shared-mode FixLeaf that first re-enters the leaf `cache` holds for
+  /// this tree (DESIGN.md §4h). The entry is used only if, once the leaf is
+  /// shared-latched, its latch version is the recorded one, the frame is
+  /// kHot and the leaf's key range covers `key`. Otherwise this descends
+  /// like FixLeaf and records the leaf it lands on. `cache` may be null.
+  Status FixLeafShared(OpContext* ctx, const Slice& key, LeafCache* cache,
+                       LeafGuard* out);
+
   /// --- Index-tree operations ------------------------------------------------
 
   /// Inserts (key, value); kKeyExists if the key is present.
@@ -110,8 +119,9 @@ class BTree {
   /// Removes key; kNotFound if absent.
   Status IndexRemove(OpContext* ctx, const Slice& key);
 
-  /// Point lookup.
-  Status IndexLookup(OpContext* ctx, const Slice& key, uint64_t* value);
+  /// Point lookup; `cache` as for FixLeafShared.
+  Status IndexLookup(OpContext* ctx, const Slice& key, uint64_t* value,
+                     LeafCache* cache = nullptr);
 
   /// Range scan over [lo, hi): calls `cb(key, value)`; stop early when cb
   /// returns false. The callback runs under a shared leaf latch and must not
@@ -185,6 +195,10 @@ class BTree {
 
   /// Allocates + X-latches a fresh frame, running eviction when needed.
   Status AllocFrame(OpContext* ctx, BufferFrame** out);
+
+  /// True iff the key range of the leaf on `page` covers `key`: its row-id
+  /// range for a table leaf, its fence keys for an index leaf.
+  bool LeafCovers(const char* page, const Slice& key) const;
 
   /// Resolves a non-HOT swip found during descent. Called with no latches
   /// held that the caller cannot drop; may return kBlocked.

@@ -70,6 +70,18 @@ class Schema {
   size_t fixed_size_ = 0;
 };
 
+/// The columns a projected read materializes (Table::GetRef and friends):
+/// bit i stands for column i. A column at index 64 or above has no bit and
+/// is always materialized.
+using ColumnSet = uint64_t;
+constexpr ColumnSet kAllColumns = ~ColumnSet{0};
+constexpr ColumnSet ColumnBit(size_t col) {
+  return col < 64 ? ColumnSet{1} << col : 0;
+}
+constexpr bool InColumnSet(ColumnSet set, size_t col) {
+  return col >= 64 || ((set >> col) & 1) != 0;
+}
+
 /// A decoded column value used when building rows through the public API.
 /// Strings come in two flavors: owned (`str`, via Value::String) and
 /// borrowed (`ref`, via Value::StringRef) — borrowed values carry a Slice

@@ -151,7 +151,8 @@ Status TableLeaf::EraseRow(uint16_t slot) {
   return Status::OK();
 }
 
-Result<Slice> TableLeaf::ReadRowTo(uint16_t slot, Arena* arena) const {
+Result<Slice> TableLeaf::ReadRowTo(uint16_t slot, Arena* arena,
+                                   ColumnSet cols) const {
   if (slot >= capacity() || !IsLive(slot)) {
     return Status::NotFound("read: slot not live");
   }
@@ -159,11 +160,14 @@ Result<Slice> TableLeaf::ReadRowTo(uint16_t slot, Arena* arena) const {
   struct Minipages {
     const TableLeaf* leaf;
     uint16_t slot;
+    ColumnSet cols;
 
     const char* Values(size_t i, size_t width) const {
       return leaf->page_ + leaf->layout_->column_offset(i) + width * slot;
     }
-    bool IsNull(size_t i) const { return leaf->IsNullCol(slot, i); }
+    bool IsNull(size_t i) const {
+      return !InColumnSet(cols, i) || leaf->IsNullCol(slot, i);
+    }
     int32_t Int32(size_t i) const {
       int32_t v;
       memcpy(&v, Values(i, 4), 4);
@@ -188,7 +192,7 @@ Result<Slice> TableLeaf::ReadRowTo(uint16_t slot, Arena* arena) const {
                    len);
     }
   };
-  return WriteRowTo(*schema_, Minipages{this, slot}, arena);
+  return WriteRowTo(*schema_, Minipages{this, slot, cols}, arena);
 }
 
 }  // namespace phoebe

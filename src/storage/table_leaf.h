@@ -108,7 +108,9 @@ class TableLeaf {
   /// Materializes the slot into the serialized row format in `arena`,
   /// returning a slice valid until the arena resets. The hot-path reads use
   /// this so the row survives releasing the page latch without a heap copy.
-  Result<Slice> ReadRowTo(uint16_t slot, Arena* arena) const;
+  /// Columns outside `cols` are written as null (a projected read).
+  Result<Slice> ReadRowTo(uint16_t slot, Arena* arena,
+                          ColumnSet cols = kAllColumns) const;
 
   /// Direct PAX minipage accessors (columnar fast path; callers check
   /// IsLive/IsDeleted/IsNullCol and the column type themselves).

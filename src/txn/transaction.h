@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/constants.h"
+#include "storage/leaf_cache.h"
 #include "txn/undo.h"
 
 namespace phoebe {
@@ -72,6 +73,10 @@ class Transaction {
   /// as in PostgreSQL's deadlock detector but latency-based).
   Xid waiting_on = 0;
   uint64_t wait_started_ns = 0;
+
+  /// Leaves this transaction last shared-latched, one per tree, for reads
+  /// that land in the same leaf again (DESIGN.md §4h). Cleared at Begin.
+  LeafCache leaf_cache;
 
  private:
   friend class TxnManager;

@@ -111,6 +111,7 @@ Transaction* TxnManager::BeginOnSlot(uint32_t slot_id, IsolationLevel iso) {
   txn.max_observed_cts = 0;
   txn.rows_read = 0;
   txn.rows_written = 0;
+  txn.leaf_cache.Clear();
 
   s.active_start_ts.store(ts, std::memory_order_relaxed);
   s.active_snapshot.store(ts, std::memory_order_relaxed);

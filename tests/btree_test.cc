@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/coding.h"
+#include "common/profiler.h"
 #include "tests/test_util.h"
 
 namespace phoebe {
@@ -291,6 +292,116 @@ TEST_F(BTreeTest, ConcurrentReadersDuringWrites) {
   uint64_t i = 2000;
   while (i < 12000 || (reads.load() < 1100 && i < 200000)) {
     ASSERT_OK(tree->IndexInsert(&wctx, Key(i), i));
+    ++i;
+  }
+  stop = true;
+  for (auto& t : readers) t.join();
+  EXPECT_GT(reads.load(), 1000u);
+}
+
+// --- Leaf re-access through a LeafCache (DESIGN.md 4h) ----------------------------
+
+TEST_F(BTreeTest, LeafCacheReentersLeafAndFollowsSplits) {
+  auto tree = NewIndexTree();
+  for (uint64_t i = 0; i < 100; ++i) {
+    ASSERT_OK(tree->IndexInsert(&ctx_, Key(i * 1000), i));
+  }
+  LeafCache cache;
+  Profiler::Reset();
+  Profiler::Enable(true);
+  uint64_t v = 0;
+  ASSERT_OK(tree->IndexLookup(&ctx_, Key(1000), &v, &cache));  // descends
+  ASSERT_OK(tree->IndexLookup(&ctx_, Key(2000), &v, &cache));  // same leaf
+  EXPECT_EQ(v, 2u);
+  EXPECT_TRUE(tree->IndexLookup(&ctx_, Key(2001), &v, &cache).IsNotFound());
+  Profiler::Enable(false);
+  Profiler::Totals totals = Profiler::Aggregate();
+  EXPECT_EQ(totals.leaf_cache_reads, 3u);
+  EXPECT_EQ(totals.leaf_cache_hits, 2u);
+
+  // Splits move most keys out of the cached leaf.
+  for (uint64_t i = 0; i < 100000; ++i) {
+    if (i % 1000 != 0) ASSERT_OK(tree->IndexInsert(&ctx_, Key(i), i + 1));
+  }
+  ASSERT_GT(tree->Height(&ctx_), 1);
+  for (uint64_t i = 0; i < 100; ++i) {
+    ASSERT_OK(tree->IndexLookup(&ctx_, Key(i * 1000), &v, &cache));
+    ASSERT_EQ(v, i);
+  }
+}
+
+TEST_F(BTreeTest, LeafCacheSkipsFrameReusedByAnotherTree) {
+  auto a = NewIndexTree();
+  for (uint64_t i = 0; i < 5000; ++i) {
+    ASSERT_OK(a->IndexInsert(&ctx_, Key(i), i));
+  }
+  LeafCache cache;
+  uint64_t v = 0;
+  ASSERT_OK(a->IndexLookup(&ctx_, Key(2500), &v, &cache));
+  LeafGuard g;
+  ASSERT_OK(a->FixLeaf(&ctx_, Key(2500), LatchMode::kShared, &g));
+  BufferFrame* leaf = g.frame();
+  g.Release();
+  ASSERT_EQ(leaf->partition, 0);
+
+  // Evict one frame at a time, so the cached leaf's frame is the last one
+  // freed and the next tree's root leaf (empty, unbounded fences) reuses it.
+  for (int i = 0; i < 100000 && leaf->state.load() != FrameState::kFree;
+       ++i) {
+    registry_->CoolRandomFrames(&ctx_, 0, 1);
+    registry_->EvictCoolingBatch(&ctx_, 0, 1);
+  }
+  ASSERT_EQ(leaf->state.load(), FrameState::kFree);
+  auto b = NewIndexTree();
+  ASSERT_EQ(b->root_frame(), leaf);
+
+  ASSERT_OK(a->IndexLookup(&ctx_, Key(2501), &v, &cache));
+  EXPECT_EQ(v, 2501u);
+}
+
+TEST_F(BTreeTest, LeafCacheSkipsFrameFreedWithoutExclusiveLatch) {
+  // Drop frees frames without latching them, so the version does not move;
+  // the cached leaf's frame must still not be re-entered.
+  auto tree = NewIndexTree();
+  ASSERT_OK(tree->IndexInsert(&ctx_, Key(1), 1));
+  ASSERT_OK(tree->IndexInsert(&ctx_, Key(2), 2));
+  LeafCache cache;
+  uint64_t v = 0;
+  ASSERT_OK(tree->IndexLookup(&ctx_, Key(1), &v, &cache));
+  ASSERT_OK(tree->Drop(&ctx_));
+  EXPECT_FALSE(tree->IndexLookup(&ctx_, Key(2), &v, &cache).ok());
+}
+
+TEST_F(BTreeTest, LeafCacheReadersDuringSplits) {
+  auto tree = NewIndexTree();
+  for (uint64_t i = 0; i < 20000; i += 10) {
+    ASSERT_OK(tree->IndexInsert(&ctx_, Key(i), i));
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      OpContext ctx;
+      LeafCache cache;
+      Random rng(static_cast<uint64_t>(t) + 5);
+      while (!stop) {
+        // Short ascending runs, so most probes land in the cached leaf.
+        uint64_t k = rng.Uniform(1990) * 10;
+        for (int j = 0; j < 10; ++j, k += 10) {
+          uint64_t v = 0;
+          Status st = tree->IndexLookup(&ctx, Key(k), &v, &cache);
+          ASSERT_TRUE(st.ok()) << st.ToString();
+          ASSERT_EQ(v, k);
+        }
+        reads.fetch_add(10);
+      }
+    });
+  }
+  OpContext wctx;
+  uint64_t i = 1;
+  while (i < 20000 || (reads.load() < 2000 && i < 400000)) {
+    if (i % 10 != 0) ASSERT_OK(tree->IndexInsert(&wctx, Key(i), i));
     ++i;
   }
   stop = true;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <map>
 #include <thread>
 
 #include "core/database.h"
@@ -46,6 +48,39 @@ class TableTest : public ::testing::Test {
     Status st = table_->Insert(&ctx_, txn, b.Encode().value(), &rid);
     EXPECT_TRUE(st.ok()) << st.ToString();
     return rid;
+  }
+
+  /// Inserts and commits `n` rows with skus first_sku.. and qty = i, then
+  /// sweeps the twin tables so the leaves can be cooled or frozen.
+  std::vector<RowId> InsertCommitted(int n, int64_t first_sku) {
+    Transaction* txn = db_->Begin(db_->aux_slot(0));
+    std::vector<RowId> rids;
+    for (int i = 0; i < n; ++i) {
+      rids.push_back(
+          InsertItem(txn, first_sku + i, "n" + std::to_string(i), i));
+    }
+    EXPECT_OK(db_->Commit(&ctx_, txn));
+    db_->DrainGc();
+    return rids;
+  }
+
+  BufferFrame* LeafFrame(BTree* tree, const std::string& key) {
+    LeafGuard g;
+    EXPECT_OK(tree->FixLeaf(&ctx_, key, LatchMode::kShared, &g));
+    return g.frame();
+  }
+
+  /// Cools and evicts frames of `frame`'s partition until `frame` has left
+  /// the buffer.
+  void Evict(BufferFrame* frame) {
+    OpContext ectx;
+    ectx.partition = frame->partition;
+    for (int i = 0; i < 100000 && frame->state.load() != FrameState::kFree;
+         ++i) {
+      db_->registry()->CoolRandomFrames(&ectx, frame->partition, 8);
+      db_->registry()->EvictCoolingBatch(&ectx, frame->partition, 8);
+    }
+    ASSERT_EQ(frame->state.load(), FrameState::kFree);
   }
 
   std::unique_ptr<TestDir> dir_;
@@ -600,6 +635,219 @@ TEST_F(TableTest, StaleFrozenBlockIsShadowedByLiveTreeRows) {
   Transaction* reader2 = db_->Begin(db_->aux_slot(0));
   EXPECT_TRUE(table_->Get(&ctx_, reader2, rids[2], &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader2));
+}
+
+// --- Projected reads ------------------------------------------------------------
+
+TEST_F(TableTest, ProjectedReadsMatchFullReads) {
+  DatabaseOptions opts;
+  opts.freeze_access_threshold = 1u << 30;
+  opts.freeze_epoch_age = 0;
+  Open(opts);
+  std::vector<RowId> rids = InsertCommitted(1500, 5000);
+  for (int i = 0; i < 4; ++i) db_->pool()->AdvanceEpoch();
+  OpContext fctx;
+  ASSERT_EQ(table_->FreezePass(&fctx, 1).value(), 1);
+  ASSERT_GE(table_->frozen()->max_frozen_row_id(), rids[3]);
+
+  // An older snapshot, then an update of one listed (qty) and one unlisted
+  // (name) column: the old reader's version is rebuilt from UNDO.
+  Transaction* old_reader =
+      db_->Begin(db_->aux_slot(1), IsolationLevel::kRepeatableRead);
+  Transaction* writer = db_->Begin(db_->aux_slot(0));
+  ASSERT_OK(table_->Update(&ctx_, writer, rids[1200],
+                           {{1, Value::String("renamed")},
+                            {2, Value::Int32(-7)}}));
+  ASSERT_OK(db_->Commit(&ctx_, writer));
+  Transaction* new_reader = db_->Begin(db_->aux_slot(2));
+
+  constexpr ColumnSet kCols = ColumnBit(0) | ColumnBit(2);  // sku, qty
+  const Schema& schema = table_->schema();
+  auto check = [&](Transaction* txn, int i, int32_t want_qty,
+                   bool from_page) {
+    SCOPED_TRACE("row " + std::to_string(i));
+    const RowId rid = rids[i];
+    const int64_t sku = 5000 + i;
+    Slice full;
+    Slice projected;
+    ASSERT_OK(table_->GetRef(&ctx_, txn, rid, &full));
+    ASSERT_OK(table_->GetRef(&ctx_, txn, rid, &projected, kCols));
+    RowId found = 0;
+    Slice by_index;
+    ASSERT_OK(table_->IndexGetRef(&ctx_, txn, 0, {Value::Int64(sku)}, &found,
+                                  &by_index, kCols));
+    EXPECT_EQ(found, rid);
+    Slice by_scan;
+    ASSERT_OK(table_->IndexScanRef(
+        &ctx_, txn, 0, {Value::Int64(sku)}, {Value::Int64(sku + 1)},
+        [&by_scan](RowId, Slice row) {
+          by_scan = row;
+          return true;
+        },
+        kCols));
+    RowView f(&schema, full.data());
+    EXPECT_EQ(f.GetInt64(0), sku);
+    EXPECT_EQ(f.GetInt32(2), want_qty);
+    for (Slice row : {projected, by_index, by_scan}) {
+      ASSERT_FALSE(row.empty());
+      RowView p(&schema, row.data());
+      EXPECT_EQ(p.GetInt64(0), f.GetInt64(0));
+      EXPECT_EQ(p.GetInt32(2), f.GetInt32(2));
+      if (from_page) EXPECT_TRUE(p.IsNull(1)) << "unlisted column read";
+    }
+  };
+  check(new_reader, 1000, 1000, /*from_page=*/true);   // base row
+  check(new_reader, 1200, -7, /*from_page=*/false);    // the update
+  check(old_reader, 1200, 1200, /*from_page=*/false);  // rebuilt from UNDO
+  check(new_reader, 3, 3, /*from_page=*/false);        // frozen row
+  ASSERT_OK(db_->Commit(&ctx_, old_reader));
+  ASSERT_OK(db_->Commit(&ctx_, new_reader));
+}
+
+// --- Leaf re-access (DESIGN.md 4h) ------------------------------------------------
+// A transaction reads key A, another context changes A's leaf, and the
+// transaction then reads key B of A's old range.
+
+TEST_F(TableTest, LeafReaccessAfterIndexSplit) {
+  Open();
+  for (int i = 0; i < 50; ++i) InsertCommitted(1, i * 1000);
+  BTree* pk = table_->index(0).tree.get();
+  ASSERT_EQ(pk->Height(&ctx_), 1);
+
+  Transaction* reader = db_->Begin(db_->aux_slot(1));
+  RowId rid = 0;
+  Slice row;
+  ASSERT_OK(table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(0)}, &rid,
+                                &row));
+  Transaction* writer = db_->Begin(db_->aux_slot(0));
+  for (int i = 0; i < 20000; ++i) {
+    if (i % 1000 != 0) InsertItem(writer, i, "w", 0);
+  }
+  ASSERT_OK(db_->Commit(&ctx_, writer));
+  ASSERT_GT(pk->Height(&ctx_), 1);  // the root leaf split
+
+  for (int64_t sku : {1000, 19000, 49000}) {
+    ASSERT_OK(table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(sku)},
+                                  &rid, &row));
+    EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt64(0), sku);
+  }
+  ASSERT_OK(db_->Commit(&ctx_, reader));
+}
+
+TEST_F(TableTest, LeafReaccessAfterIndexMerge) {
+  Open();
+  InsertCommitted(1, 0);
+  InsertCommitted(1, 100000);
+  InsertCommitted(1, 100001);
+  // Uncommitted inserts split the index into many leaves; their rollback
+  // removes the entries again and merges the underfull leaves.
+  Transaction* writer = db_->Begin(db_->aux_slot(0));
+  for (int i = 1; i < 20000; ++i) InsertItem(writer, i, "w", 0);
+  BTree* pk = table_->index(0).tree.get();
+  const std::string key = Table::EncodeKey(table_->schema(), {0},
+                                           {Value::Int64(100000)},
+                                           db_->ScratchArena(writer))
+                              .value()
+                              .ToString();
+  BufferFrame* before = LeafFrame(pk, key);
+
+  Transaction* reader = db_->Begin(db_->aux_slot(1));
+  RowId rid = 0;
+  Slice row;
+  ASSERT_OK(table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(100000)},
+                                &rid, &row));
+  ASSERT_OK(db_->Abort(&ctx_, writer));
+  ASSERT_NE(LeafFrame(pk, key), before);  // A's leaf was merged away
+
+  for (int64_t sku : {100001, 0}) {
+    ASSERT_OK(table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(sku)},
+                                  &rid, &row));
+    EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt64(0), sku);
+  }
+  ASSERT_OK(db_->Commit(&ctx_, reader));
+}
+
+TEST_F(TableTest, LeafReaccessAfterCoolingAndEviction) {
+  Open();
+  std::vector<RowId> rids = InsertCommitted(1500, 0);
+  Transaction* reader = db_->Begin(db_->aux_slot(1));
+  Slice row;
+  ASSERT_OK(table_->GetRef(&ctx_, reader, rids[10], &row));
+  Evict(LeafFrame(table_->tree(), BTree::TableKey(rids[10])));
+  const uint64_t loads = db_->pool()->stats().loads.load();
+
+  ASSERT_OK(table_->GetRef(&ctx_, reader, rids[20], &row));
+  EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt64(0), 20);
+  EXPECT_GT(db_->pool()->stats().loads.load(), loads);  // read back
+  ASSERT_OK(db_->Commit(&ctx_, reader));
+}
+
+TEST_F(TableTest, LeafReaccessAfterFreezeDetach) {
+  DatabaseOptions opts;
+  opts.freeze_access_threshold = 1u << 30;
+  opts.freeze_epoch_age = 0;
+  Open(opts);
+  std::vector<RowId> rids = InsertCommitted(1500, 0);
+  for (int i = 0; i < 4; ++i) db_->pool()->AdvanceEpoch();
+  Transaction* reader = db_->Begin(db_->aux_slot(1));
+  Slice row;
+  ASSERT_OK(table_->GetRef(&ctx_, reader, rids[10], &row));
+  OpContext fctx;
+  ASSERT_EQ(table_->FreezePass(&fctx, 1).value(), 1);
+  ASSERT_GE(table_->frozen()->max_frozen_row_id(), rids[20]);
+
+  ASSERT_OK(table_->GetRef(&ctx_, reader, rids[20], &row));
+  EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt64(0), 20);
+  ASSERT_OK(db_->Commit(&ctx_, reader));
+}
+
+// --- Index scans resume without replaying rows --------------------------------------
+
+TEST_F(TableTest, CoroutineIndexScanDeliversEachRowOnceAcrossEvictedLeaf) {
+  Open();
+  std::vector<RowId> rids = InsertCommitted(1000, 0);
+  BufferFrame* first = LeafFrame(table_->tree(), BTree::TableKey(rids[0]));
+  BufferFrame* last = LeafFrame(table_->tree(), BTree::TableKey(rids[999]));
+  ASSERT_NE(first, last);  // the rows span more than one table leaf
+
+  OpContext co;
+  co.synchronous = false;
+  Transaction* reader = db_->Begin(db_->aux_slot(1));
+  // Re-runs the scan after every kBlocked, as PHOEBE_CO_AWAIT does.
+  auto scan = [&](int64_t lo, int64_t hi, int* blocked) {
+    std::map<RowId, int> seen;
+    Status st;
+    for (;;) {
+      st = table_->IndexScanRef(&co, reader, 0, {Value::Int64(lo)},
+                                {Value::Int64(hi)}, [&seen](RowId rid, Slice) {
+                                  ++seen[rid];
+                                  return true;
+                                });
+      if (!st.IsBlocked()) break;
+      ++*blocked;
+      while (co.load.active && !co.load.req.done()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    EXPECT_OK(st);
+    return seen;
+  };
+
+  // Starts in a resident leaf, then reaches the evicted one.
+  Evict(last);
+  int blocked = 0;
+  std::map<RowId, int> seen = scan(0, 1000, &blocked);
+  EXPECT_EQ(seen.size(), 1000u);
+  for (const auto& [rid, n] : seen) EXPECT_EQ(n, 1) << "row " << rid;
+
+  // Starts in the evicted leaf: blocks before delivering anything.
+  Evict(LeafFrame(table_->tree(), BTree::TableKey(rids[999])));
+  blocked = 0;
+  seen = scan(990, 1000, &blocked);
+  EXPECT_GT(blocked, 0);
+  EXPECT_EQ(seen.size(), 10u);
+  for (const auto& [rid, n] : seen) EXPECT_EQ(n, 1) << "row " << rid;
+  ASSERT_OK(db_->Commit(&ctx_, reader));
 }
 
 // --- Key encoding properties ----------------------------------------------------
