@@ -63,7 +63,7 @@ void BM_RowScanSum(benchmark::State& state) {
     Transaction* txn = f.db->Begin(f.db->aux_slot(1));
     int64_t sum = 0;
     (void)f.table->ScanAllVisible(&ctx, txn,
-                                  [&sum, &f](RowId, const std::string& row) {
+                                  [&sum, &f](RowId, Slice row) {
                                     sum += RowView(&f.table->schema(),
                                                    row.data())
                                                .GetInt64(2);

@@ -86,8 +86,8 @@ double TotalBalance(Bank* bank) {
   Transaction* txn = bank->db->Begin(bank->db->aux_slot());
   double total = 0;
   for (RowId rid : bank->rids) {
-    std::string row;
-    if (bank->accounts->Get(&ctx, txn, rid, &row).ok()) {
+    Slice row;
+    if (bank->accounts->GetRef(&ctx, txn, rid, &row).ok()) {
       total += RowView(&bank->accounts->schema(), row.data()).GetDouble(1);
     }
   }

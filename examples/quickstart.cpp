@@ -67,9 +67,9 @@ int main(int argc, char** argv) {
   // 4. Point lookup through the index (with MVCC visibility).
   Transaction* reader = db->Begin(db->aux_slot());
   RowId rid = 0;
-  std::string row;
-  CHECK_OK(players->IndexGet(&ctx, reader, 0, {Value::Int64(102)}, &rid,
-                             &row));
+  Slice row;
+  CHECK_OK(players->IndexGetRef(&ctx, reader, 0, {Value::Int64(102)}, &rid,
+                                &row));
   RowView view(&players->schema(), row.data());
   printf("id=102 -> name=%s score=%.1f\n",
          view.GetString(1).ToString().c_str(), view.GetDouble(2));
@@ -86,9 +86,9 @@ int main(int argc, char** argv) {
   // 6. Range scan over the index.
   Transaction* scanner = db->Begin(db->aux_slot());
   printf("players with id >= 102:\n");
-  CHECK_OK(players->IndexScan(
+  CHECK_OK(players->IndexScanRef(
       &ctx, scanner, 0, {Value::Int64(102)}, {Value::Int64(1000)},
-      [&](RowId, const std::string& r) {
+      [&](RowId, Slice r) {
         RowView v(&players->schema(), r.data());
         printf("  %lld %-8s %.1f\n",
                static_cast<long long>(v.GetInt64(0)),
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   if (!reopened.ok()) return 1;
   Table* again = reopened.value()->GetTable("players").value();
   Transaction* check = reopened.value()->Begin(reopened.value()->aux_slot());
-  CHECK_OK(again->IndexGet(&ctx, check, 0, {Value::Int64(102)}, &rid, &row));
+  CHECK_OK(again->IndexGetRef(&ctx, check, 0, {Value::Int64(102)}, &rid, &row));
   printf("after reopen: id=102 score=%.1f (expected 25.0)\n",
          RowView(&again->schema(), row.data()).GetDouble(2));
   CHECK_OK(reopened.value()->Commit(&ctx, check));

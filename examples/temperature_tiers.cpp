@@ -67,8 +67,8 @@ int main() {
 
   // 3. Reads hit the frozen store transparently.
   Transaction* reader = db->Begin(db->aux_slot());
-  std::string row;
-  CHECK_OK(events->Get(&ctx, reader, first_rid + 10, &row));
+  Slice row;
+  CHECK_OK(events->GetRef(&ctx, reader, first_rid + 10, &row));
   printf("frozen read k=%lld payload=\"%s\"\n",
          static_cast<long long>(
              RowView(&events->schema(), row.data()).GetInt64(0)),
@@ -85,8 +85,8 @@ int main() {
 
   Transaction* verify = db->Begin(db->aux_slot());
   RowId new_rid = 0;
-  CHECK_OK(events->IndexGet(&ctx, verify, 0, {Value::Int64(10)}, &new_rid,
-                            &row));
+  CHECK_OK(events->IndexGetRef(&ctx, verify, 0, {Value::Int64(10)}, &new_rid,
+                               &row));
   printf("after warm-update: k=10 now at rid=%llu (was %llu), payload=\"%s\""
          "\n",
          static_cast<unsigned long long>(new_rid),
@@ -94,7 +94,7 @@ int main() {
          RowView(&events->schema(), row.data()).GetString(1).ToString()
              .c_str());
   // The frozen copy is tombstoned.
-  Status gone = events->Get(&ctx, verify, first_rid + 10, &row);
+  Status gone = events->GetRef(&ctx, verify, first_rid + 10, &row);
   printf("old frozen rid lookup: %s (expected NotFound)\n",
          gone.ToString().c_str());
   CHECK_OK(db->Commit(&ctx, verify));

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Builds the Address+UBSanitizer preset and runs the I/O, fault-injection,
-# and crash-recovery suites under it: these exercise error paths (injected
-# I/O failures, torn WAL tails, quarantined pages, fail-stop teardown) where
-# use-after-free and leaks like to hide. Usage:
+# crash-recovery and freeze-race suites under it: these exercise error paths
+# (injected I/O failures, torn WAL tails, quarantined pages, fail-stop
+# teardown) and tier moves where use-after-free and leaks like to hide. Usage:
 #   scripts/run_asan.sh [extra ctest args...]
 set -eu
 
 cd "$(dirname "$0")/.."
 
-TESTS=(io_test wal_test fault_env_test recovery_property_test checkpoint_test crash_torture_test readonly_commit_test scheduler_stress_test codec_fuzz_test schema_test storage_test table_test node_test btree_test btree_model_test)
+TESTS=(io_test wal_test fault_env_test recovery_property_test checkpoint_test crash_torture_test freeze_stress_test readonly_commit_test scheduler_stress_test codec_fuzz_test schema_test storage_test table_test node_test btree_test btree_model_test)
 
 cmake --preset asan
 cmake --build --preset asan -j "$(nproc)" --target "${TESTS[@]}"

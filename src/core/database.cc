@@ -220,10 +220,11 @@ Status Database::LoadCatalogAndRecover() {
                                            ie.unique, root));
   }
   if (cat.clean) {
-    // A durable checkpoint image now exists on disk: page frees must be
-    // deferred until the next catalog commit so the image stays intact if
-    // we crash again (including mid-replay).
-    data_file_->EnableDeferredFrees();
+    // A durable checkpoint image now exists on disk: no page of it may be
+    // freed for reuse or overwritten by eviction until the next catalog
+    // commit, so the image stays intact if we crash again (including
+    // mid-replay).
+    data_file_->PublishImage();
   }
   // The watermark is only trustworthy against a clean catalog; a stale or
   // unclean one falls back to full replay.
@@ -751,10 +752,11 @@ Status Database::CheckpointLocked() {
   PHOEBE_RETURN_IF_ERROR(CrashPoint("before_catalog_rename"));
   PHOEBE_RETURN_IF_ERROR(Catalog::CommitTmp(env_, options_.path));
   // The rename is the commit point: a durable image exists from this very
-  // instant, so deferral must start here — not at the end of the attempt.
-  // If WAL truncation fails below, an eager free could otherwise recycle a
-  // page the just-published catalog references.
-  data_file_->EnableDeferredFrees();
+  // instant, so deferral and the image boundary must move here — not at the
+  // end of the attempt. If WAL truncation fails below, an eager free or an
+  // in-place eviction could otherwise overwrite a page the just-published
+  // catalog references.
+  data_file_->PublishImage();
   PHOEBE_RETURN_IF_ERROR(CrashPoint("before_wal_truncate"));
   PHOEBE_RETURN_IF_ERROR(wal_->TruncateAll());
   PHOEBE_RETURN_IF_ERROR(CrashPoint("after_wal_truncate"));

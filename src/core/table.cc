@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 #include <optional>
-#include <unordered_set>
 
 #include "common/arena.h"
 #include "common/clock.h"
@@ -341,19 +340,11 @@ Status Table::Insert(OpContext* ctx, Transaction* txn, Slice row,
 // Get
 // ---------------------------------------------------------------------------
 
-Status Table::Get(OpContext* ctx, Transaction* txn, RowId rid,
-                  std::string* row) {
-  Slice s;
-  PHOEBE_RETURN_IF_ERROR(GetRef(ctx, txn, rid, &s));
-  row->assign(s.data(), s.size());
-  return Status::OK();
-}
-
 Status Table::GetRef(OpContext* ctx, Transaction* txn, RowId rid,
                      Slice* row, ColumnSet cols) {
-  // Tree first: live tree rows are authoritative even below the frozen
-  // watermark (a freeze that raced a writer leaves a stale, shadowed block;
-  // see DESIGN.md 4b). Frozen store is the fallback.
+  // Each row lives in one tier (DESIGN.md 4b.8). Tree first, frozen store
+  // second: a freeze writes the block before it detaches the leaf, so a row
+  // frozen after the tree miss below is already in the store.
   Arena* arena = ScratchOf(ctx, txn);
   LeafGuard g;
   PHOEBE_RETURN_IF_ERROR(tree_->FixLeafShared(ctx, BTree::TableKey(rid),
@@ -436,17 +427,13 @@ Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
     uint16_t slot;
     if (!leaf.InRange(rid) || !leaf.IsLive(slot = leaf.SlotOf(rid))) {
       g.Release();
-      if (frozen_ != nullptr && rid <= frozen_->max_frozen_row_id() &&
-          !frozen_->IsDeleted(rid)) {
+      if (frozen_ != nullptr && rid <= frozen_->max_frozen_row_id()) {
         // Frozen update: warm the row into hot storage, then update the
         // fresh copy (Section 5.2 case 3). Runs synchronously.
         OpContext sync;
         sync.InitSyncViewOf(*ctx);
         RowId new_rid = 0;
-        std::string warmed;
-        Status st = WarmRow(&sync, txn, rid, &new_rid, &warmed);
-        if (st.IsNotFound()) return st;
-        PHOEBE_RETURN_IF_ERROR(st);
+        PHOEBE_RETURN_IF_ERROR(WarmRow(&sync, txn, rid, &new_rid));
         return UpdateApply(&sync, txn, new_rid, compute);
       }
       return Status::NotFound();
@@ -638,11 +625,6 @@ Status Table::Delete(OpContext* ctx, Transaction* txn, RowId rid) {
     deps_->wal->LogData(txn, WalRecordType::kDelete, gsn,
                         WalRecordCodec::DataPayloadTo(id_, rid, Slice(),
                                                       ScratchOf(ctx, txn)));
-    if (frozen_ != nullptr && rid <= frozen_->max_frozen_row_id()) {
-      // Shadow tombstone: a raced freeze may hold a stale copy of this row;
-      // once GC purges the tree slot, the fallback must not resurrect it.
-      frozen_->MarkDeleted(rid);
-    }
     txn->rows_written += 1;
     return Status::OK();
   }
@@ -650,40 +632,32 @@ Status Table::Delete(OpContext* ctx, Transaction* txn, RowId rid) {
 
 /// Out-of-place delete of a row living only in the frozen tier: tombstone +
 /// WAL (so recovery re-marks it) + immediate index removal (Section 5.2).
-Status Table::DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid) {
-  std::string row;
-  Status st = frozen_->ReadRow(rid, &row);
-  if (st.IsNotFound()) return st;
-  PHOEBE_RETURN_IF_ERROR(st);
+Status Table::DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid,
+                           Slice* row_out) {
+  Arena* arena = ScratchOf(ctx, txn);
+  std::string tmp;
+  PHOEBE_RETURN_IF_ERROR(frozen_->ReadRow(rid, &tmp));
+  Slice row = arena->Copy(tmp);
   frozen_->MarkDeleted(rid);
-  uint64_t gsn = deps_->wal->WriterFor(txn->slot_id()).LoadGsn() + 1;
-  deps_->wal->WriterFor(txn->slot_id()).RaiseGsn(gsn);
+  WalWriter& w = deps_->wal->WriterFor(txn->slot_id());
+  uint64_t gsn = w.LoadGsn() + 1;
+  w.RaiseGsn(gsn);
   deps_->wal->LogData(txn, WalRecordType::kDelete, gsn,
-                      WalRecordCodec::DataPayload(id_, rid, Slice()));
+                      WalRecordCodec::DataPayloadTo(id_, rid, Slice(), arena));
   OpContext sync;
   sync.InitSyncViewOf(*ctx);
   PHOEBE_RETURN_IF_ERROR(ForEachIndexKey(
-      RowView(&schema_, row.data()), ScratchOf(ctx, txn),
-      [&](IndexDef& idx, Slice key) {
+      RowView(&schema_, row.data()), arena, [&](IndexDef& idx, Slice key) {
         return IndexRemoveEntry(&sync, idx, key, rid);
       }));
   txn->rows_written += 1;
+  if (row_out != nullptr) *row_out = row;
   return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // Index access
 // ---------------------------------------------------------------------------
-
-Status Table::IndexGet(OpContext* ctx, Transaction* txn, size_t index_no,
-                       const std::vector<Value>& key_values, RowId* rid,
-                       std::string* row) {
-  Slice s;
-  PHOEBE_RETURN_IF_ERROR(IndexGetRef(ctx, txn, index_no, key_values, rid,
-                                     row != nullptr ? &s : nullptr));
-  if (row != nullptr) row->assign(s.data(), s.size());
-  return Status::OK();
-}
 
 Status Table::IndexGetRef(OpContext* ctx, Transaction* txn, size_t index_no,
                           const std::vector<Value>& key_values, RowId* rid,
@@ -703,16 +677,6 @@ Status Table::IndexGetRef(OpContext* ctx, Transaction* txn, size_t index_no,
     return GetRef(ctx, txn, value, row, cols);
   }
   return Status::OK();
-}
-
-Status Table::IndexScan(
-    OpContext* ctx, Transaction* txn, size_t index_no,
-    const std::vector<Value>& lo_values, const std::vector<Value>& hi_values,
-    const std::function<bool(RowId, const std::string&)>& cb) {
-  return IndexScanRef(ctx, txn, index_no, lo_values, hi_values,
-                      [&cb](RowId rid, Slice row) {
-                        return cb(rid, std::string(row.data(), row.size()));
-                      });
 }
 
 Status Table::IndexScanRef(OpContext* ctx, Transaction* txn, size_t index_no,
@@ -773,27 +737,18 @@ Status Table::IndexScanRef(OpContext* ctx, Transaction* txn, size_t index_no,
   return Status::OK();
 }
 
-Status Table::ScanAllVisible(
-    OpContext* ctx, Transaction* txn,
-    const std::function<bool(RowId, const std::string&)>& cb) {
+Status Table::ScanAllVisible(OpContext* ctx, Transaction* txn,
+                             FunctionRef<bool(RowId, Slice)> cb) {
   // Walk hot/cold leaves collecting row ids, then read each with
   // visibility. Collect first to avoid callback re-entry under latches.
-  // Live tree slots at or below the frozen watermark shadow stale frozen
-  // copies left by a freeze that raced a writer (see DESIGN.md 4b).
   std::vector<RowId> rids;
-  std::unordered_set<RowId> shadowed;
-  RowId watermark =
-      frozen_ != nullptr ? frozen_->max_frozen_row_id() : 0;
   OpContext scan_ctx;
   scan_ctx.InitSyncViewOf(*ctx);
   scan_ctx.count_accesses = false;
   PHOEBE_RETURN_IF_ERROR(tree_->ForEachTableLeaf(
       &scan_ctx, [&](TableLeaf& leaf, BufferFrame*) {
         for (uint16_t s = 0; s < leaf.capacity(); ++s) {
-          if (!leaf.IsLive(s)) continue;
-          RowId rid = leaf.first_row_id() + s;
-          rids.push_back(rid);
-          if (rid <= watermark) shadowed.insert(rid);
+          if (leaf.IsLive(s)) rids.push_back(leaf.first_row_id() + s);
         }
         return true;
       }));
@@ -801,18 +756,14 @@ Status Table::ScanAllVisible(
   if (frozen_ != nullptr) {
     PHOEBE_RETURN_IF_ERROR(
         frozen_->Scan([&](RowId rid, const std::string& row) {
-          if (shadowed.count(rid) != 0) return true;
-          if (!cb(rid, row)) {
-            stop = true;
-            return false;
-          }
-          return true;
+          stop = !cb(rid, row);
+          return !stop;
         }));
     if (stop) return Status::OK();
   }
   for (RowId rid : rids) {
-    std::string row;
-    Status st = Get(&scan_ctx, txn, rid, &row);
+    Slice row;
+    Status st = GetRef(&scan_ctx, txn, rid, &row);
     if (st.IsNotFound()) continue;
     PHOEBE_RETURN_IF_ERROR(st);
     if (!cb(rid, row)) break;
@@ -829,34 +780,11 @@ Status ScanColumnGeneric(Table* table, BTree* tree, FrozenStore* frozen,
                          Transaction* txn, uint32_t col,
                          const std::function<bool(RowId, T)>& cb) {
   bool stop = false;
-  // Pre-pass: live tree slots at/below the frozen watermark shadow stale
-  // frozen copies (freeze raced a writer; tree is authoritative).
-  std::unordered_set<RowId> shadowed;
-  OpContext pre_ctx;
-  pre_ctx.InitSyncViewOf(*ctx);
-  pre_ctx.count_accesses = false;
-  if (frozen != nullptr && frozen->max_frozen_row_id() > 0) {
-    RowId watermark = frozen->max_frozen_row_id();
-    PHOEBE_RETURN_IF_ERROR(tree->ForEachTableLeaf(
-        &pre_ctx, [&](TableLeaf& leaf, BufferFrame*) {
-          if (leaf.first_row_id() > watermark) return false;  // past it
-          for (uint16_t s = 0; s < leaf.capacity(); ++s) {
-            RowId rid = leaf.first_row_id() + s;
-            if (rid > watermark) break;
-            if (leaf.IsLive(s)) shadowed.insert(rid);
-          }
-          return true;
-        }));
-  }
   // Frozen tier: per-block column projection (no row materialization).
   if (frozen != nullptr) {
     std::function<bool(RowId, T)> wrapped = [&](RowId rid, T v) {
-      if (shadowed.count(rid) != 0) return true;
-      if (!cb(rid, v)) {
-        stop = true;
-        return false;
-      }
-      return true;
+      stop = !cb(rid, v);
+      return !stop;
     };
     if constexpr (std::is_same_v<T, int64_t>) {
       PHOEBE_RETURN_IF_ERROR(frozen->ScanColumnInt64(col, wrapped));
@@ -906,8 +834,8 @@ Status ScanColumnGeneric(Table* table, BTree* tree, FrozenStore* frozen,
   if (stop) return Status::OK();
 
   for (RowId rid : slow) {
-    std::string row;
-    Status st = table->Get(&scan_ctx, txn, rid, &row);
+    Slice row;
+    Status st = table->GetRef(&scan_ctx, txn, rid, &row, ColumnBit(col));
     if (st.IsNotFound()) continue;
     PHOEBE_RETURN_IF_ERROR(st);
     RowView view(&schema, row.data());
@@ -1133,44 +1061,11 @@ Result<int> Table::FreezePass(OpContext* ctx, int max_leaves) {
 }
 
 Status Table::WarmRow(OpContext* ctx, Transaction* txn, RowId frozen_rid,
-                      RowId* new_rid, std::string* row_out) {
-  // Stale-block guard: if the row is live in the tree (a freeze raced a
-  // writer), the tree copy is authoritative — just tombstone the shadowed
-  // frozen copy and keep the existing rid.
-  {
-    LeafGuard g;
-    PHOEBE_RETURN_IF_ERROR(tree_->FixLeaf(ctx, BTree::TableKey(frozen_rid),
-                                          LatchMode::kShared, &g));
-    TableLeaf leaf(g.page(), &schema_, &layout_);
-    if (leaf.InRange(frozen_rid) && leaf.IsLive(leaf.SlotOf(frozen_rid))) {
-      g.Release();
-      frozen_->MarkDeleted(frozen_rid);
-      *new_rid = frozen_rid;
-      if (row_out != nullptr) row_out->clear();
-      return Status::OK();
-    }
-  }
-  std::string row;
-  Status st = frozen_->ReadRow(frozen_rid, &row);
-  if (!st.ok()) return st;
-  frozen_->MarkDeleted(frozen_rid);
-  // Log the tombstone so recovery re-marks it (the tree copy of the row is
-  // resurrected by replay and must end up deleted).
-  WalWriter& w = deps_->wal->WriterFor(txn->slot_id());
-  w.RaiseGsn(w.LoadGsn() + 1);
-  deps_->wal->LogData(txn, WalRecordType::kDelete, w.LoadGsn(),
-                      WalRecordCodec::DataPayload(id_, frozen_rid, Slice()));
-  // Replace index entries: old rid out, new rid in (done inside Insert).
-  PHOEBE_RETURN_IF_ERROR(ForEachIndexKey(
-      RowView(&schema_, row.data()), ScratchOf(ctx, txn),
-      [&](IndexDef& idx, Slice key) {
-        return IndexRemoveEntry(ctx, idx, key, frozen_rid);
-      }));
-  RowId rid = 0;
-  PHOEBE_RETURN_IF_ERROR(Insert(ctx, txn, row, &rid));
-  *new_rid = rid;
-  if (row_out != nullptr) *row_out = std::move(row);
-  return Status::OK();
+                      RowId* new_rid) {
+  Slice row;
+  PHOEBE_RETURN_IF_ERROR(DeleteFrozen(ctx, txn, frozen_rid, &row));
+  *new_rid = 0;
+  return Insert(ctx, txn, row, new_rid);
 }
 
 Status Table::WarmPass(OpContext* ctx, Transaction* txn, size_t max_rows) {
@@ -1180,7 +1075,7 @@ Status Table::WarmPass(OpContext* ctx, Transaction* txn, size_t max_rows) {
       frozen_->HotFrozenRows(deps_->options->warm_read_threshold, max_rows);
   for (RowId rid : hot) {
     RowId new_rid = 0;
-    Status st = WarmRow(&sync, txn, rid, &new_rid, nullptr);
+    Status st = WarmRow(&sync, txn, rid, &new_rid);
     if (st.IsNotFound()) continue;
     PHOEBE_RETURN_IF_ERROR(st);
   }

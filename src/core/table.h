@@ -106,12 +106,10 @@ class Table {
   /// Marks `rid` deleted (physical purge happens at GC).
   Status Delete(OpContext* ctx, Transaction* txn, RowId rid);
 
-  /// Reads the version of `rid` visible to `txn`.
-  Status Get(OpContext* ctx, Transaction* txn, RowId rid, std::string* row);
-
-  /// Allocation-free read: `*row` borrows the transaction's scratch arena
-  /// (or the base row materialized into it), valid until the slot's next
-  /// Begin resets the arena (DESIGN.md 4g). The hot-path variant of Get.
+  /// Reads the version of `rid` visible to `txn`. `*row` borrows the
+  /// transaction's scratch arena (or the base row materialized into it),
+  /// valid until the slot's next Begin resets the arena (DESIGN.md 4g);
+  /// copy it (Slice::ToString) to keep it longer.
   ///
   /// Projection (DESIGN.md 4g): only the columns in `cols` are guaranteed.
   /// A version read from the page carries the others as null; one rebuilt
@@ -121,29 +119,20 @@ class Table {
   Status GetRef(OpContext* ctx, Transaction* txn, RowId rid, Slice* row,
                 ColumnSet cols = kAllColumns);
 
-  /// Unique-index point lookup with visibility check.
-  Status IndexGet(OpContext* ctx, Transaction* txn, size_t index_no,
-                  const std::vector<Value>& key_values, RowId* rid,
-                  std::string* row);
-
-  /// Allocation-free point lookup: the key is encoded into the transaction
-  /// arena and `*row` borrows it like GetRef, projected to `cols`.
+  /// Unique-index point lookup with visibility check: the key is encoded
+  /// into the transaction arena and `*row` (if not null) borrows it like
+  /// GetRef, projected to `cols`.
   Status IndexGetRef(OpContext* ctx, Transaction* txn, size_t index_no,
                      const std::vector<Value>& key_values, RowId* rid,
                      Slice* row, ColumnSet cols = kAllColumns);
 
   /// Ascending index range scan over [lo, hi) key prefixes; `cb` receives
   /// each *visible* row, returns false to stop. Pass empty hi_values to use
-  /// the successor of lo as the upper bound (prefix scan).
-  Status IndexScan(OpContext* ctx, Transaction* txn, size_t index_no,
-                   const std::vector<Value>& lo_values,
-                   const std::vector<Value>& hi_values,
-                   const std::function<bool(RowId, const std::string&)>& cb);
-
-  /// Allocation-free scan variant: row slices borrow the transaction arena
-  /// and stay valid until the slot's next Begin (they are NOT invalidated
-  /// between callback invocations, so callers may hold on to them for the
-  /// rest of the transaction). Rows are projected to `cols` like GetRef.
+  /// the successor of lo as the upper bound (prefix scan). Row slices borrow
+  /// the transaction arena and stay valid until the slot's next Begin (they
+  /// are NOT invalidated between callback invocations, so callers may hold
+  /// on to them for the rest of the transaction). Rows are projected to
+  /// `cols` like GetRef.
   /// Each visible row reaches `cb` exactly once: a kBlocked status is only
   /// returned before the first row was delivered, and the rows after it are
   /// read synchronously.
@@ -154,9 +143,11 @@ class Table {
                       ColumnSet cols = kAllColumns);
 
   /// Full scan of all visible rows (hot/cold + frozen), row-id order within
-  /// each tier (frozen first). Maintenance/verification use.
+  /// each tier (frozen first). Maintenance/verification use. Each row is
+  /// valid only during its callback (tree rows borrow the transaction arena
+  /// like GetRef; frozen rows a decoded block).
   Status ScanAllVisible(OpContext* ctx, Transaction* txn,
-                        const std::function<bool(RowId, const std::string&)>& cb);
+                        FunctionRef<bool(RowId, Slice)> cb);
 
   /// Columnar projection scan (the HTAP path PAX + frozen blocks enable,
   /// Section 5.2): streams one integer column's visible values without
@@ -249,13 +240,16 @@ class Table {
   Status IndexRemoveEntry(OpContext* ctx, IndexDef& idx, Slice user_key,
                           RowId rid);
 
-  /// Out-of-place delete of a row living only in the frozen tier.
-  Status DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid);
+  /// Out-of-place delete of a row living only in the frozen tier. The
+  /// removed row is handed back in `*row_out` (if not null), borrowing the
+  /// transaction arena.
+  Status DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid,
+                      Slice* row_out = nullptr);
 
-  /// Warm a single frozen row into hot storage (used by frozen updates /
-  /// deletes / WarmPass). Returns the new row id.
+  /// Warms a single frozen row into hot storage (frozen updates, WarmPass):
+  /// DeleteFrozen, then Insert under a fresh row id, returned in `*new_rid`.
   Status WarmRow(OpContext* ctx, Transaction* txn, RowId frozen_rid,
-                 RowId* new_rid, std::string* row_out);
+                 RowId* new_rid);
 
   /// Resolves the arena for this operation: an explicit `ctx->arena`
   /// override if set, else the transaction slot's scratch arena. Never

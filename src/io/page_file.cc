@@ -98,6 +98,7 @@ PageId PageFile::AllocatePage() {
     if (!free_list_.empty()) {
       PageId id = free_list_.back();
       free_list_.pop_back();
+      if (id < image_end_) recycled_.insert(id);
       return id;
     }
   }
@@ -113,8 +114,17 @@ void PageFile::FreePage(PageId id) {
   }
 }
 
-void PageFile::EnableDeferredFrees() {
+void PageFile::PublishImage() {
+  std::lock_guard<std::mutex> lk(free_mu_);
+  image_end_ = next_page_.load(std::memory_order_relaxed);
+  recycled_.clear();
   defer_frees_.store(true, std::memory_order_relaxed);
+}
+
+bool PageFile::InImage(PageId id) const {
+  if (!deferred_frees_enabled()) return false;
+  std::lock_guard<std::mutex> lk(free_mu_);
+  return id < image_end_ && recycled_.count(id) == 0;
 }
 
 void PageFile::PublishFrees() {

@@ -26,7 +26,9 @@ Status VerifyPageCrc(const char* page, PageId id);
 /// A file of fixed-size (kPageSize) pages: the on-disk Data Page File of
 /// Section 5.1. Pages are addressed by PageId; freed pages are recycled via
 /// an in-memory free list (persisted state is reconstructed at recovery from
-/// the B-Tree, so the free list is best-effort).
+/// the B-Tree, so the free list is best-effort). The file also knows which
+/// ids the published checkpoint image may reference (InImage), so that no
+/// writer overwrites them between two checkpoints.
 class PageFile {
  public:
   /// Opens (creating if needed) the page file at `path`.
@@ -58,13 +60,20 @@ class PageFile {
   /// not be overwritten until a newer catalog is durable.
   void FreePage(PageId id);
 
-  /// Turns on checkpoint-safe deferred frees. Off (the default) keeps
-  /// immediate recycling — correct while no durable checkpoint image exists
-  /// yet (fresh database, or an unclean catalog that full replay rebuilds).
-  void EnableDeferredFrees();
+  /// Records that a durable catalog now references a checkpoint image made
+  /// of pages allocated so far, and turns on deferred frees. Before the
+  /// first call (fresh database, or an unclean catalog that full replay
+  /// rebuilds) no image exists and frees recycle immediately.
+  void PublishImage();
+  /// True exactly while a published checkpoint image exists.
   bool deferred_frees_enabled() const {
     return defer_frees_.load(std::memory_order_relaxed);
   }
+
+  /// True if page `id` may belong to the published checkpoint image, i.e.
+  /// an image exists and `id` was not allocated since its publication. Such
+  /// a page must not be overwritten before the next publication.
+  bool InImage(PageId id) const;
 
   /// Moves all pending frees to the free list. Call only after the catalog
   /// that no longer references those pages has been made durable.
@@ -91,6 +100,10 @@ class PageFile {
   mutable std::mutex free_mu_;
   std::vector<PageId> free_list_;
   std::vector<PageId> pending_free_;
+  // Ids at or above image_end_, and the ids in recycled_, were allocated
+  // since the last PublishImage().
+  PageId image_end_ = 0;
+  std::unordered_set<PageId> recycled_;
   std::atomic<bool> defer_frees_{false};
   mutable std::mutex quarantine_mu_;
   std::unordered_set<PageId> quarantined_;

@@ -892,29 +892,31 @@ Status BTree::DetachTableLeaf(
   Status result = Status::OK();
 
   TableLeaf leaf(xleaf.page(), schema_, layout_);
+  // Every check that can fail runs before `prepare`: once it has written the
+  // frozen block, the leaf must leave the tree, or its rows would live in
+  // two tiers.
+  const int idx = parent_is_meta
+                      ? -1
+                      : InnerNode::Cast(parent->page)->FindChildBySwipWord(
+                            reinterpret_cast<uint64_t>(xleaf.frame()));
   if (parent_is_meta) {
     result = Status::NotFound("cannot detach the root leaf");
   } else if (leaf.first_row_id() != first_row_id) {
     result = Status::NotFound("leaf anchor mismatch");
   } else if (xleaf.frame()->twin.load(std::memory_order_acquire) != nullptr) {
     result = Status::Aborted("leaf has live twin table");
+  } else if (idx < 0) {
+    result = Status::Corruption("detach: swip not found in parent");
   } else if (result = prepare(leaf, xleaf.frame()); result.ok()) {
-    InnerNode* pinner = InnerNode::Cast(parent->page);
-    int idx = pinner->FindChildBySwipWord(
-        reinterpret_cast<uint64_t>(xleaf.frame()));
-    if (idx < 0) {
-      result = Status::Corruption("detach: swip not found in parent");
-    } else {
-      pinner->RemoveChildAt(static_cast<uint16_t>(idx));
-      parent->dirty.store(true, std::memory_order_relaxed);
-      BufferFrame* bf = xleaf.frame();
-      if (bf->page_id != kInvalidPageId) {
-        pool_->page_file()->FreePage(bf->page_id);
-      }
-      // Drop the leaf: unlatch (bumps version for stale readers) and free.
-      xleaf.Release();
-      pool_->FreeFrame(bf);
+    InnerNode::Cast(parent->page)->RemoveChildAt(static_cast<uint16_t>(idx));
+    parent->dirty.store(true, std::memory_order_relaxed);
+    BufferFrame* bf = xleaf.frame();
+    if (bf->page_id != kInvalidPageId) {
+      pool_->page_file()->FreePage(bf->page_id);
     }
+    // Drop the leaf: unlatch (bumps version for stale readers) and free.
+    xleaf.Release();
+    pool_->FreeFrame(bf);
   }
   if (xleaf.held()) xleaf.Release();
   if (parent_is_meta) {
@@ -955,8 +957,8 @@ Status BTree::CheckpointRec(OpContext* ctx, BufferFrame* bf, char* scratch,
       Swip* s = inner->ChildAt(i);
       uint64_t w = s->raw();
       // Evicted children are already on disk at a stable id: either part of
-      // the previous checkpoint image (shared), or written by an in-place
-      // eviction whose content replay reconciles.
+      // the previous checkpoint image (shared), or written by an eviction
+      // since then to an id that image does not reference.
       if ((w & Swip::kTagMask) == Swip::kTagEvicted) continue;
       BufferFrame* child =
           reinterpret_cast<BufferFrame*>(w & ~Swip::kTagMask);
@@ -1265,6 +1267,16 @@ int BTreeRegistry::EvictCoolingBatch(OpContext* ctx, uint32_t partition,
         bf->twin.load(std::memory_order_acquire) == nullptr) {
       if (bf->dirty.load(std::memory_order_acquire) ||
           bf->page_id == kInvalidPageId) {
+        // Never overwrite a page of the published checkpoint image: the
+        // victim is written to a fresh id instead, the old id is freed
+        // (deferred until the next publication), and the parent is dirtied
+        // because its swip will hold the new id.
+        PageFile* file = pool_->page_file();
+        if (bf->page_id != kInvalidPageId && file->InImage(bf->page_id)) {
+          file->FreePage(bf->page_id);
+          bf->page_id = kInvalidPageId;
+          parent->dirty.store(true, std::memory_order_release);
+        }
         // Defer to the batched write-back; latches stay held.
         pending.push_back(Victim{bf, parent, swip});
         continue;

@@ -1,16 +1,21 @@
 // Checkpoint subsystem tests: the online admission-barrier checkpoint
 // (RequestCheckpoint), the GSN watermark that bounds recovery replay, the
 // copy-on-write page walk's crash safety at every publication instant, the
-// deferred page-free lifecycle, and the background checkpointer triggers.
+// deferred page-free lifecycle, the background checkpointer triggers, and
+// the image that eviction and freezing must leave intact until the next
+// checkpoint (one tier per row after a crash).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/database.h"
 #include "io/fault_env.h"
+#include "tests/eviction_util.h"
 #include "tests/test_util.h"
 
 namespace phoebe {
@@ -61,7 +66,7 @@ void VerifyRows(Database* db, Table* table,
   Transaction* txn = db->Begin(db->aux_slot(0));
   std::map<int64_t, std::string> found;
   ASSERT_OK(table->ScanAllVisible(
-      &ctx, txn, [&](RowId, const std::string& row) {
+      &ctx, txn, [&](RowId, Slice row) {
         RowView v(&table->schema(), row.data());
         found[v.GetInt64(0)] = v.GetString(1).ToString();
         return true;
@@ -339,8 +344,8 @@ TEST(CheckpointTest, ReplayReclaimsUniqueKeyAfterDeleteReinsert) {
     Table* t = re->GetTable("kv").value();
     Transaction* reader = re->Begin(re->aux_slot(0));
     RowId rid = 0;
-    std::string row;
-    ASSERT_OK(t->IndexGet(&ctx, reader, 0, {Value::Int64(5)}, &rid, &row));
+    Slice row;
+    ASSERT_OK(t->IndexGetRef(&ctx, reader, 0, {Value::Int64(5)}, &rid, &row));
     EXPECT_EQ(rid, rid2);
     EXPECT_EQ(RowView(&t->schema(), row.data()).GetString(1), Slice("two"));
     ASSERT_OK(re->Commit(&ctx, reader));
@@ -439,6 +444,317 @@ TEST(CheckpointTest, BackgroundCheckpointerBacksOffUnderLoad) {
       << "checkpointer never recovered after backoff";
   VerifyRows(db.get(), table, model);
   ASSERT_OK(db->Close());
+}
+
+// --- One tier per row across a crash ----------------------------------------
+
+// Every committed row must come back exactly once, in exactly one tier, after
+// a crash that follows a checkpoint. Two things can break that: eviction
+// overwriting a page of the published image (the image then mixes pre- and
+// post-checkpoint state, e.g. an inner node that lost its detached leaves
+// while the frozen files are truncated back to the checkpoint), and a freeze
+// that leaves a written block next to a live leaf.
+
+Schema PadSchema() {
+  return Schema({
+      {"k", ColumnType::kInt64, 0, false},
+      {"pad", ColumnType::kString, 200, false},
+  });
+}
+
+constexpr int64_t kMatrixRows = 120000;
+constexpr int kMatrixBatch = 1000;
+constexpr int kMatrixFreezeLeaves = 40;
+
+std::string PadValue(int64_t k, int version) {
+  std::string v = "k" + std::to_string(k) + "v" + std::to_string(version);
+  v.resize(200, static_cast<char>('a' + k % 26));
+  return v;
+}
+
+uint64_t MatrixSeed() {
+  // --gtest_random_seed=N runs another seed.
+  int seed = ::testing::GTEST_FLAG(random_seed);
+  return seed == 0 ? 1 : static_cast<uint64_t>(seed);
+}
+
+DatabaseOptions MatrixOptions(const std::string& path) {
+  DatabaseOptions opts = MakeOptions(path, nullptr);
+  opts.buffer_bytes = 96ull << 20;  // the whole table stays resident
+  opts.freeze_access_threshold = 1u << 30;
+  opts.freeze_epoch_age = 0;
+  return opts;
+}
+
+/// Sets `pad` of each key in `keys` to its next version (one transaction per
+/// batch) and records it in `model`.
+void UpdateKeys(Database* db, Table* t, const std::vector<int64_t>& keys,
+                int version, std::map<int64_t, std::string>* model) {
+  OpContext ctx;
+  ctx.synchronous = true;
+  for (size_t i = 0; i < keys.size(); i += kMatrixBatch) {
+    Transaction* txn = db->Begin(db->aux_slot(0));
+    for (size_t j = i; j < std::min(keys.size(), i + kMatrixBatch); ++j) {
+      RowId rid = 0;
+      ASSERT_OK(t->IndexGetRef(&ctx, txn, 0, {Value::Int64(keys[j])}, &rid,
+                               nullptr));
+      std::string v = PadValue(keys[j], version);
+      ASSERT_OK(t->Update(&ctx, txn, rid, {{1, Value::String(v)}}));
+      (*model)[keys[j]] = v;
+    }
+    ASSERT_OK(db->Commit(&ctx, txn));
+  }
+}
+
+void DeleteKey(Database* db, Table* t, int64_t k,
+               std::map<int64_t, std::string>* model) {
+  OpContext ctx;
+  ctx.synchronous = true;
+  Transaction* txn = db->Begin(db->aux_slot(0));
+  RowId rid = 0;
+  ASSERT_OK(t->IndexGetRef(&ctx, txn, 0, {Value::Int64(k)}, &rid, nullptr));
+  ASSERT_OK(t->Delete(&ctx, txn, rid));
+  ASSERT_OK(db->Commit(&ctx, txn));
+  model->erase(k);
+}
+
+/// Checks the recovered table against `model`: each key once in a full scan
+/// with its value, each key found through the unique index, and no live
+/// tree slot at or below the frozen watermark.
+void VerifyOneTier(Database* db, Table* t,
+                   const std::map<int64_t, std::string>& model) {
+  OpContext ctx;
+  ctx.synchronous = true;
+  std::map<int64_t, std::string> seen;
+  size_t duplicates = 0;
+  Transaction* txn = db->Begin(db->aux_slot(0));
+  ASSERT_OK(t->ScanAllVisible(&ctx, txn, [&](RowId, Slice row) {
+    RowView v(&t->schema(), row.data());
+    if (!seen.emplace(v.GetInt64(0), v.GetString(1).ToString()).second) {
+      ++duplicates;
+    }
+    return true;
+  }));
+  ASSERT_OK(db->Commit(&ctx, txn));
+  size_t lost = 0;
+  size_t wrong = 0;
+  for (const auto& [k, v] : model) {
+    auto it = seen.find(k);
+    if (it == seen.end()) {
+      ++lost;
+    } else if (it->second != v) {
+      ++wrong;
+    }
+  }
+  EXPECT_EQ(duplicates, 0u);
+  EXPECT_EQ(lost, 0u) << "of " << model.size() << " committed rows";
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(seen.size(), model.size());
+
+  size_t misses = 0;
+  auto it = model.begin();
+  while (it != model.end()) {
+    txn = db->Begin(db->aux_slot(0));
+    for (int i = 0; i < kMatrixBatch && it != model.end(); ++i, ++it) {
+      RowId rid = 0;
+      Slice row;
+      Status st =
+          t->IndexGetRef(&ctx, txn, 0, {Value::Int64(it->first)}, &rid, &row);
+      if (!st.ok() ||
+          RowView(&t->schema(), row.data()).GetString(1) != Slice(it->second)) {
+        ++misses;
+      }
+    }
+    ASSERT_OK(db->Commit(&ctx, txn));
+  }
+  EXPECT_EQ(misses, 0u) << "of " << model.size() << " index lookups";
+
+  const RowId watermark = t->frozen()->max_frozen_row_id();
+  size_t below = 0;
+  ASSERT_OK(t->tree()->ForEachTableLeaf(&ctx, [&](TableLeaf& leaf,
+                                                  BufferFrame*) {
+    for (uint16_t s = 0; s < leaf.capacity(); ++s) {
+      if (leaf.IsLive(s) && leaf.first_row_id() + s <= watermark) ++below;
+    }
+    return true;
+  }));
+  EXPECT_EQ(below, 0u) << "live tree slots at or below watermark "
+                       << watermark;
+}
+
+struct MatrixCase {
+  bool checkpoint_empty;  // checkpoint before any row, then a mixed history
+  bool force_eviction;
+};
+
+class OneTierCrashTest : public ::testing::TestWithParam<MatrixCase> {};
+
+TEST_P(OneTierCrashTest, CommittedRowsSurviveInOneTier) {
+  const MatrixCase mc = GetParam();
+  const uint64_t seed = MatrixSeed();
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  Random rng(seed);
+  TestDir dir(std::string("ckpt_one_tier_") +
+              (mc.checkpoint_empty ? "empty_" : "full_") +
+              (mc.force_eviction ? "evict" : "resident"));
+  std::map<int64_t, std::string> model;
+  {
+    auto opened = Database::Open(MatrixOptions(dir.path()));
+    ASSERT_OK_R(opened);
+    auto db = std::move(opened.value());
+    Table* t = db->CreateTable("pad", PadSchema()).value();
+    ASSERT_OK(db->CreateIndex("pad", "pad_pk", {0}, true));
+    if (mc.checkpoint_empty) ASSERT_OK(db->RequestCheckpoint());
+
+    OpContext ctx;
+    ctx.synchronous = true;
+    for (int64_t from = 0; from < kMatrixRows; from += kMatrixBatch) {
+      Transaction* txn = db->Begin(db->aux_slot(0));
+      for (int64_t k = from; k < from + kMatrixBatch; ++k) {
+        RowBuilder b(&t->schema());
+        std::string v = PadValue(k, 0);
+        b.SetInt64(0, k).SetString(1, v);
+        RowId rid = 0;
+        ASSERT_OK(t->Insert(&ctx, txn, b.Encode().value(), &rid));
+        model[k] = v;
+      }
+      ASSERT_OK(db->Commit(&ctx, txn));
+    }
+    ASSERT_GE(t->tree()->Height(&ctx), 3);
+
+    if (mc.checkpoint_empty) {
+      std::vector<int64_t> keys;
+      for (int i = 0; i < 500; ++i) {
+        keys.push_back(static_cast<int64_t>(rng.Uniform(kMatrixRows)));
+      }
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      UpdateKeys(db.get(), t, keys, 1, &model);
+      DeleteKey(db.get(), t, 1 + static_cast<int64_t>(rng.Uniform(999)),
+                &model);
+      DeleteKey(db.get(), t, 60000 + static_cast<int64_t>(rng.Uniform(1000)),
+                &model);
+    } else {
+      db->DrainGc();
+      ASSERT_OK(db->RequestCheckpoint());
+    }
+
+    db->DrainGc();
+    Result<int> frozen = t->FreezePass(&ctx, kMatrixFreezeLeaves);
+    ASSERT_OK_R(frozen);
+    ASSERT_EQ(frozen.value(), kMatrixFreezeLeaves);
+    const int64_t watermark =
+        static_cast<int64_t>(t->frozen()->max_frozen_row_id());
+    ASSERT_GT(watermark, 1000);
+
+    if (mc.checkpoint_empty) {
+      // Warm one frozen row (an update moves it to a fresh hot row id),
+      // then delete another straight out of the frozen tier.
+      int64_t warm = 1000 + static_cast<int64_t>(rng.Uniform(watermark / 2));
+      int64_t gone = warm + 1;
+      UpdateKeys(db.get(), t, {warm}, 2, &model);
+      DeleteKey(db.get(), t, gone, &model);
+      db->DrainGc();
+    }
+    if (mc.force_eviction) {
+      EXPECT_GT(ForceEviction(db.get(), seed), 0);
+    }
+    db->TEST_SimulateCrash();
+  }
+  auto opened = Database::Open(MatrixOptions(dir.path()));
+  ASSERT_OK_R(opened);
+  auto db = std::move(opened.value());
+  Table* t = db->GetTable("pad").value();
+  VerifyOneTier(db.get(), t, model);
+  ASSERT_OK(db->Close());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CheckpointTest, OneTierCrashTest,
+    ::testing::Values(MatrixCase{false, true}, MatrixCase{false, false},
+                      MatrixCase{true, true}, MatrixCase{true, false}),
+    [](const ::testing::TestParamInfo<MatrixCase>& info) {
+      std::string name = info.param.checkpoint_empty ? "CheckpointEmpty"
+                                                     : "FreezeAfterCheckpoint";
+      return name + (info.param.force_eviction ? "_Evicted" : "_Resident");
+    });
+
+// Between two checkpoints eviction copies each page of the published image
+// at most once and never writes over it: the image's bytes stay identical,
+// and the file grows by at most one copy of it however often the same
+// pages are dirtied and evicted again.
+TEST(CheckpointTest, EvictionCopiesEachImagePageAtMostOnce) {
+  TestDir dir("ckpt_copy_once");
+  constexpr int64_t kRows = 20000;
+  std::map<int64_t, std::string> model;
+  {
+    auto opened = Database::Open(MatrixOptions(dir.path()));
+    ASSERT_OK_R(opened);
+    auto db = std::move(opened.value());
+    Table* t = db->CreateTable("pad", PadSchema()).value();
+    ASSERT_OK(db->CreateIndex("pad", "pad_pk", {0}, true));
+    std::vector<int64_t> keys;
+    OpContext ctx;
+    ctx.synchronous = true;
+    for (int64_t from = 0; from < kRows; from += kMatrixBatch) {
+      Transaction* txn = db->Begin(db->aux_slot(0));
+      for (int64_t k = from; k < from + kMatrixBatch; ++k) {
+        RowBuilder b(&t->schema());
+        b.SetInt64(0, k).SetString(1, PadValue(k, 0));
+        RowId rid = 0;
+        ASSERT_OK(t->Insert(&ctx, txn, b.Encode().value(), &rid));
+      }
+      ASSERT_OK(db->Commit(&ctx, txn));
+    }
+    ASSERT_OK(db->Close());
+  }
+
+  auto read_file = [&] {
+    std::string bytes;
+    std::unique_ptr<File> f;
+    Env::OpenOptions fo;
+    EXPECT_OK(Env::Default()->OpenFile(dir.path() + "/data.pages", fo, &f));
+    bytes.resize(f->Size());
+    size_t got = 0;
+    EXPECT_OK(f->Read(0, bytes.size(), bytes.data(), &got));
+    bytes.resize(got);
+    return bytes;
+  };
+  const std::string image = read_file();
+  ASSERT_GT(image.size(), 0u);
+
+  auto opened = Database::Open(MatrixOptions(dir.path()));
+  ASSERT_OK_R(opened);
+  auto db = std::move(opened.value());
+  Table* t = db->GetTable("pad").value();
+  PageFile* file = db->pool()->page_file();
+  ASSERT_TRUE(file->deferred_frees_enabled());
+  const uint64_t image_pages = file->num_pages();
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < kRows; ++k) keys.push_back(k);
+  for (int round = 1; round <= 5; ++round) {
+    UpdateKeys(db.get(), t, keys, round, &model);
+    db->DrainGc();
+    EXPECT_GT(ForceEviction(db.get(), round), 0);
+  }
+  const uint64_t grown = file->num_pages() - image_pages;
+  RecordProperty("image_pages", static_cast<int>(image_pages));
+  RecordProperty("grown_pages", static_cast<int>(grown));
+  EXPECT_GT(grown, 0u);
+  EXPECT_LE(grown, image_pages)
+      << "eviction copied image pages more than once";
+  const std::string after = read_file();
+  ASSERT_GE(after.size(), image.size());
+  EXPECT_TRUE(after.compare(0, image.size(), image) == 0)
+      << "eviction overwrote a page of the published checkpoint image";
+  db->TEST_SimulateCrash();
+  db.reset();
+
+  auto re = Database::Open(MatrixOptions(dir.path()));
+  ASSERT_OK_R(re);
+  Table* rt = re.value()->GetTable("pad").value();
+  VerifyOneTier(re.value().get(), rt, model);
+  ASSERT_OK(re.value()->Close());
 }
 
 }  // namespace

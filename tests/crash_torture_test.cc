@@ -29,6 +29,7 @@
 #include "core/database.h"
 #include "io/fault_env.h"
 #include "io/io_stats.h"
+#include "tests/eviction_util.h"
 #include "tests/test_util.h"
 
 namespace phoebe {
@@ -80,8 +81,9 @@ void ResolveFuzzy(Database* db, Table* table, Model* model) {
   Transaction* reader = db->Begin(db->aux_slot(0));
   for (const auto& [k, v] : model->fuzzy) {
     RowId rid = 0;
-    std::string row;
-    Status st = table->IndexGet(&ctx, reader, 0, {Value::Int64(k)}, &rid, &row);
+    Slice row;
+    Status st =
+        table->IndexGetRef(&ctx, reader, 0, {Value::Int64(k)}, &rid, &row);
     if (st.ok()) {
       EXPECT_EQ(RowView(&table->schema(), row.data()).GetString(1), Slice(v))
           << "fuzzy key " << k << " resurfaced with a corrupt value";
@@ -103,7 +105,7 @@ void VerifyModel(Database* db, Table* table, const Model& model) {
   Transaction* reader = db->Begin(db->aux_slot(0));
   std::map<int64_t, std::string> found;
   ASSERT_OK(table->ScanAllVisible(
-      &ctx, reader, [&](RowId, const std::string& row) {
+      &ctx, reader, [&](RowId, Slice row) {
         RowView v(&table->schema(), row.data());
         int64_t k = v.GetInt64(0);
         if (k >= kZombieKeyStart) {
@@ -116,9 +118,9 @@ void VerifyModel(Database* db, Table* table, const Model& model) {
   EXPECT_EQ(found, model.rows);
   for (const auto& [k, v] : model.rows) {
     RowId rid = 0;
-    std::string row;
+    Slice row;
     ASSERT_OK(
-        table->IndexGet(&ctx, reader, 0, {Value::Int64(k)}, &rid, &row));
+        table->IndexGetRef(&ctx, reader, 0, {Value::Int64(k)}, &rid, &row));
     EXPECT_EQ(RowView(&table->schema(), row.data()).GetString(1), Slice(v));
   }
   ASSERT_OK(db->Commit(&ctx, reader));
@@ -424,7 +426,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrashTortureTest, ::testing::Range(0, 5));
 // rename, before/after WAL truncation) via the crash hook, simulates a crash
 // with unsynced data dropped, reopens, and verifies the model exactly.
 // Periodically a checkpoint is allowed to complete so later iterations crash
-// on top of a real image + watermark rather than a fresh directory.
+// on top of a real image + watermark rather than a fresh directory. Every
+// other iteration evicts the whole buffer before the torn checkpoint, so
+// dirty pages reach the disk outside the checkpoint walk and its data-file
+// sync makes them durable: they must never land on a page of the image the
+// crash falls back to.
 
 constexpr const char* kCkptPoints[] = {
     "mid_page_writes", "after_page_writes", "before_catalog_rename",
@@ -437,6 +443,7 @@ TEST_P(CheckpointTortureTest, KillMidCheckpointLoop) {
   const uint64_t seed = static_cast<uint64_t>(GetParam()) * 2654435761 + 99;
   Random rng(static_cast<uint32_t>(seed));
   Model model;
+  int evicted = 0;
 
   for (int iter = 0; iter < kItersPerSeed; ++iter) {
     SCOPED_TRACE("iteration " + std::to_string(iter));
@@ -478,6 +485,11 @@ TEST_P(CheckpointTortureTest, KillMidCheckpointLoop) {
       RunWorkload(db.get(), table, &model, &rng, 10, /*allow_zombies=*/false);
     }
 
+    if (iter % 2 == 1) {
+      db->DrainGc();
+      evicted += ForceEviction(db.get(), seed + iter);
+    }
+
     const char* point = kCkptPoints[rng.Uniform(5)];
     SCOPED_TRACE(std::string("crash point ") + point);
     db->TEST_SetCheckpointCrashHook(
@@ -502,6 +514,8 @@ TEST_P(CheckpointTortureTest, KillMidCheckpointLoop) {
   ASSERT_OK_R(t);
   VerifyModel(db.value().get(), t.value(), model);
   ASSERT_OK(db.value()->Close());
+  EXPECT_GT(evicted, 0) << "no iteration evicted a page before its crash";
+  RecordProperty("evictions", evicted);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointTortureTest, ::testing::Range(0, 5));

@@ -58,8 +58,8 @@ TEST_F(DatabaseTest, InsertGetCommit) {
   ASSERT_OK(db_->Commit(&ctx_, txn));
 
   Transaction* reader = db_->Begin(db_->aux_slot());
-  std::string row;
-  ASSERT_OK(t->Get(&ctx_, reader, rid, &row));
+  Slice row;
+  ASSERT_OK(t->GetRef(&ctx_, reader, rid, &row));
   RowView view(&t->schema(), row.data());
   EXPECT_EQ(view.GetInt64(0), 1);
   EXPECT_EQ(view.GetString(1), Slice("alice"));
@@ -82,19 +82,19 @@ TEST_F(DatabaseTest, UpdateVisibleAfterCommitOnly) {
 
   // A concurrent reader sees the old version through the UNDO chain.
   Transaction* reader = db_->Begin(db_->aux_slot(1));
-  std::string row;
-  ASSERT_OK(t->Get(&ctx_, reader, rid, &row));
+  Slice row;
+  ASSERT_OK(t->GetRef(&ctx_, reader, rid, &row));
   EXPECT_DOUBLE_EQ(RowView(&t->schema(), row.data()).GetDouble(2), 100.0);
   ASSERT_OK(db_->Commit(&ctx_, reader));
 
   // The writer itself sees its own write.
-  ASSERT_OK(t->Get(&ctx_, writer, rid, &row));
+  ASSERT_OK(t->GetRef(&ctx_, writer, rid, &row));
   EXPECT_DOUBLE_EQ(RowView(&t->schema(), row.data()).GetDouble(2), 250.0);
   ASSERT_OK(db_->Commit(&ctx_, writer));
 
   // After commit everyone sees the new version.
   Transaction* reader2 = db_->Begin(db_->aux_slot(1));
-  ASSERT_OK(t->Get(&ctx_, reader2, rid, &row));
+  ASSERT_OK(t->GetRef(&ctx_, reader2, rid, &row));
   EXPECT_DOUBLE_EQ(RowView(&t->schema(), row.data()).GetDouble(2), 250.0);
   ASSERT_OK(db_->Commit(&ctx_, reader2));
 }
@@ -117,13 +117,13 @@ TEST_F(DatabaseTest, AbortRollsBack) {
   ASSERT_OK(db_->Abort(&ctx_, bad));
 
   Transaction* reader = db_->Begin(db_->aux_slot());
-  std::string row;
-  ASSERT_OK(t->Get(&ctx_, reader, rid1, &row));
+  Slice row;
+  ASSERT_OK(t->GetRef(&ctx_, reader, rid1, &row));
   EXPECT_DOUBLE_EQ(RowView(&t->schema(), row.data()).GetDouble(2), 100.0);
-  EXPECT_TRUE(t->Get(&ctx_, reader, rid2, &row).IsNotFound());
+  EXPECT_TRUE(t->GetRef(&ctx_, reader, rid2, &row).IsNotFound());
   // The aborted insert's index entry is gone too.
   RowId found = 0;
-  EXPECT_TRUE(t->IndexGet(&ctx_, reader, 0, {Value::Int64(2)}, &found, &row)
+  EXPECT_TRUE(t->IndexGetRef(&ctx_, reader, 0, {Value::Int64(2)}, &found, &row)
                   .IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader));
 }
@@ -141,17 +141,17 @@ TEST_F(DatabaseTest, DeleteHidesRow) {
 
   // Concurrent reader (older snapshot) still sees the row.
   Transaction* reader = db_->Begin(db_->aux_slot(1), IsolationLevel::kRepeatableRead);
-  std::string row;
-  ASSERT_OK(t->Get(&ctx_, reader, rid, &row));
+  Slice row;
+  ASSERT_OK(t->GetRef(&ctx_, reader, rid, &row));
   ASSERT_OK(db_->Commit(&ctx_, deleter));
 
   // The RR reader keeps its snapshot: still visible.
-  ASSERT_OK(t->Get(&ctx_, reader, rid, &row));
+  ASSERT_OK(t->GetRef(&ctx_, reader, rid, &row));
   ASSERT_OK(db_->Commit(&ctx_, reader));
 
   // Fresh reader: gone.
   Transaction* reader2 = db_->Begin(db_->aux_slot(1));
-  EXPECT_TRUE(t->Get(&ctx_, reader2, rid, &row).IsNotFound());
+  EXPECT_TRUE(t->GetRef(&ctx_, reader2, rid, &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader2));
 }
 
@@ -190,13 +190,13 @@ TEST_F(DatabaseTest, RecoveryReplaysCommitted) {
 
   Table* t = db2.value()->GetTable("accounts").value();
   Transaction* reader = db2.value()->Begin(db2.value()->aux_slot());
-  std::string row;
-  ASSERT_OK(t->Get(&ctx_, reader, rid, &row));
+  Slice row;
+  ASSERT_OK(t->GetRef(&ctx_, reader, rid, &row));
   EXPECT_EQ(RowView(&t->schema(), row.data()).GetInt64(0), 7);
   // The uncommitted row is absent.
   RowId found = 0;
   EXPECT_TRUE(
-      t->IndexGet(&ctx_, reader, 0, {Value::Int64(8)}, &found, &row)
+      t->IndexGetRef(&ctx_, reader, 0, {Value::Int64(8)}, &found, &row)
           .IsNotFound());
   ASSERT_OK(db2.value()->Commit(&ctx_, reader));
   ASSERT_OK(db2.value()->Close());
@@ -221,9 +221,9 @@ TEST_F(DatabaseTest, DropTableAndIndex) {
   ASSERT_OK(db_->DropIndex("accounts", "by_owner"));
   EXPECT_EQ(t->FindIndex("by_owner"), -1);
   Transaction* reader = db_->Begin(db_->aux_slot());
-  std::string row;
+  Slice row;
   RowId found = 0;
-  ASSERT_OK(t->IndexGet(&ctx_, reader, 0, {Value::Int64(42)}, &found, &row));
+  ASSERT_OK(t->IndexGetRef(&ctx_, reader, 0, {Value::Int64(42)}, &found, &row));
   ASSERT_OK(db_->Commit(&ctx_, reader));
   EXPECT_TRUE(db_->DropIndex("accounts", "by_owner").IsNotFound());
 
@@ -337,8 +337,8 @@ TEST_F(DatabaseTest, CleanShutdownAndReopen) {
   EXPECT_FALSE(db2.value()->recovery_info().ran);
   Table* t = db2.value()->GetTable("accounts").value();
   Transaction* reader = db2.value()->Begin(db2.value()->aux_slot());
-  std::string row;
-  ASSERT_OK(t->Get(&ctx_, reader, rid, &row));
+  Slice row;
+  ASSERT_OK(t->GetRef(&ctx_, reader, rid, &row));
   EXPECT_DOUBLE_EQ(RowView(&t->schema(), row.data()).GetDouble(2), 100.0);
   ASSERT_OK(db2.value()->Commit(&ctx_, reader));
   ASSERT_OK(db2.value()->Close());

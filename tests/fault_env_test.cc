@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "buffer/buffer_pool.h"
+#include "common/arena.h"
 #include "io/fault_env.h"
 #include "io/io_retry.h"
 #include "io/io_stats.h"
@@ -377,11 +378,12 @@ TEST(WalFailStopTest, SyncFailureStopsCommitsAndWakesWaiters) {
   TxnManager tm(8, &clock);
 
   // A healthy commit first.
+  Arena arena;  // the data payloads
   Transaction* t1 = tm.Begin(0, IsolationLevel::kReadCommitted);
   BufferFrame frame;
   uint64_t gsn = wal->OnPageWrite(t1, &frame);
   wal->LogData(t1, WalRecordType::kInsert, gsn,
-               WalRecordCodec::DataPayload(1, 1, "row"));
+               WalRecordCodec::DataPayloadTo(1, 1, "row", &arena));
   wal->LogCommit(t1, 100);
   wal->WaitCommitDurable(t1);
   EXPECT_TRUE(wal->CommitDurable(t1));
@@ -394,7 +396,7 @@ TEST(WalFailStopTest, SyncFailureStopsCommitsAndWakesWaiters) {
   Transaction* t2 = tm.Begin(0, IsolationLevel::kReadCommitted);
   gsn = wal->OnPageWrite(t2, &frame);
   wal->LogData(t2, WalRecordType::kInsert, gsn,
-               WalRecordCodec::DataPayload(1, 2, "row2"));
+               WalRecordCodec::DataPayloadTo(1, 2, "row2", &arena));
   wal->LogCommit(t2, 101);
   wal->WaitCommitDurable(t2);  // must return (woken by fail-stop)
   EXPECT_TRUE(wal->fail_stopped());
@@ -418,11 +420,13 @@ class RecoveryScanFaultTest : public ::testing::Test {
   /// Writes wal_0.log with `commits` committed single-record transactions.
   void WriteWal(int commits, const std::string& tail_garbage) {
     std::string buf;
+    Arena arena;
     for (int i = 1; i <= commits; ++i) {
       Xid xid = MakeXid(static_cast<uint64_t>(i));
       WalRecordCodec::Encode(WalRecordType::kInsert, 2 * i - 1,
                              static_cast<uint64_t>(i), xid,
-                             WalRecordCodec::DataPayload(1, i, "r"), &buf);
+                             WalRecordCodec::DataPayloadTo(1, i, "r", &arena),
+                             &buf);
       WalRecordCodec::Encode(WalRecordType::kCommit, 2 * i,
                              static_cast<uint64_t>(i), xid,
                              WalRecordCodec::CommitPayload(100 + i), &buf);

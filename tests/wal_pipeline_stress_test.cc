@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/random.h"
 #include "tests/test_util.h"
 #include "txn/txn_manager.h"
@@ -67,6 +68,7 @@ class WalPipelineStressTest : public ::testing::Test {
 
   std::unique_ptr<TestDir> dir_;
   std::unique_ptr<WalManager> wal_;
+  Arena arena_;  // the data payloads
 };
 
 // Many appenders race the group flushers on small buffers. Every record the
@@ -213,7 +215,7 @@ TEST_F(WalPipelineStressTest, RemoteDependencyCommitWakes) {
   Transaction* txn1 = tm.Begin(0, IsolationLevel::kReadCommitted);
   uint64_t gsn = wal_->OnPageWrite(txn1, &frame);
   wal_->LogData(txn1, WalRecordType::kInsert, gsn,
-                WalRecordCodec::DataPayload(1, 1, "row"));
+                WalRecordCodec::DataPayloadTo(1, 1, "row", &arena_));
 
   // Slot 1 reads the page slot 0 just stamped -> remote dependency, unless
   // the background flusher already made the remote write durable, in which
@@ -224,7 +226,7 @@ TEST_F(WalPipelineStressTest, RemoteDependencyCommitWakes) {
               wal_->WriterFor(0).flushed_lsn() >= txn1->last_lsn);
   uint64_t gsn2 = wal_->OnPageWrite(txn2, &frame);
   wal_->LogData(txn2, WalRecordType::kInsert, gsn2,
-                WalRecordCodec::DataPayload(1, 2, "row2"));
+                WalRecordCodec::DataPayloadTo(1, 2, "row2", &arena_));
   wal_->LogCommit(txn2, 100);
 
   // The background flusher must drain BOTH writers before the wait returns.
@@ -245,12 +247,13 @@ TEST_F(WalPipelineStressTest, ParallelCommitWaiters) {
   std::vector<std::thread> threads;
   for (uint32_t s = 0; s < kSlots; ++s) {
     threads.emplace_back([&, s] {
+      Arena arena;
       for (int i = 0; i < 300; ++i) {
         Transaction* txn = tm.Begin(s, IsolationLevel::kReadCommitted);
         BufferFrame frame;
         uint64_t gsn = wal_->OnPageWrite(txn, &frame);
         wal_->LogData(txn, WalRecordType::kInsert, gsn,
-                      WalRecordCodec::DataPayload(1, i, "payload"));
+                      WalRecordCodec::DataPayloadTo(1, i, "payload", &arena));
         wal_->LogCommit(txn, i + 1);
         wal_->WaitCommitDurable(txn);
         if (!wal_->CommitDurable(txn)) failed.store(true);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "common/random.h"
 #include "tests/test_util.h"
 #include "txn/txn_manager.h"
@@ -48,7 +49,8 @@ TEST(WalRecordTest, TornTailDetected) {
 }
 
 TEST(WalRecordTest, DataPayloadRoundTrip) {
-  std::string p = WalRecordCodec::DataPayload(12, 3456, "row-bytes");
+  Arena arena;
+  Slice p = WalRecordCodec::DataPayloadTo(12, 3456, "row-bytes", &arena);
   RelationId rel = 0;
   RowId rid = 0;
   Slice body;
@@ -84,6 +86,7 @@ class WalManagerTest : public ::testing::Test {
   GlobalClock clock_;
   std::unique_ptr<TxnManager> tm_;
   std::unique_ptr<WalManager> wal_;
+  Arena arena_;  // the data payloads
 };
 
 TEST_F(WalManagerTest, CommitBecomesDurable) {
@@ -92,7 +95,7 @@ TEST_F(WalManagerTest, CommitBecomesDurable) {
   BufferFrame frame;
   uint64_t gsn = wal_->OnPageWrite(txn, &frame);
   wal_->LogData(txn, WalRecordType::kInsert, gsn,
-                WalRecordCodec::DataPayload(1, 1, "row"));
+                WalRecordCodec::DataPayloadTo(1, 1, "row", &arena_));
   wal_->LogCommit(txn, 123);
   wal_->WaitCommitDurable(txn);
   EXPECT_TRUE(wal_->CommitDurable(txn));
@@ -119,7 +122,7 @@ TEST_F(WalManagerTest, RfaSkipsDurableRemoteWrites) {
   BufferFrame frame;
   uint64_t gsn = wal_->OnPageWrite(txn, &frame);
   wal_->LogData(txn, WalRecordType::kInsert, gsn,
-                WalRecordCodec::DataPayload(1, 1, "row"));
+                WalRecordCodec::DataPayloadTo(1, 1, "row", &arena_));
   wal_->LogCommit(txn, 5);
   wal_->WaitCommitDurable(txn);
 
@@ -159,17 +162,17 @@ TEST_F(WalManagerTest, RecoveryScanOrdersByGsnAndFiltersUncommitted) {
   Transaction* t1 = MakeTxn(0);
   uint64_t g1 = wal_->OnPageWrite(t1, &page_a);
   wal_->LogData(t1, WalRecordType::kInsert, g1,
-                WalRecordCodec::DataPayload(1, 1, "r1"));
+                WalRecordCodec::DataPayloadTo(1, 1, "r1", &arena_));
   // txn2 on writer 1: touches the same page (higher GSN), commits.
   Transaction* t2 = MakeTxn(1);
   uint64_t g2 = wal_->OnPageWrite(t2, &page_a);
   wal_->LogData(t2, WalRecordType::kUpdate, g2,
-                WalRecordCodec::DataPayload(1, 1, "r1v2"));
+                WalRecordCodec::DataPayloadTo(1, 1, "r1v2", &arena_));
   // txn3 on writer 0: never commits.
   Transaction* t3 = MakeTxn(2);
   uint64_t g3 = wal_->OnPageWrite(t3, &page_b);
   wal_->LogData(t3, WalRecordType::kInsert, g3,
-                WalRecordCodec::DataPayload(1, 2, "r2"));
+                WalRecordCodec::DataPayloadTo(1, 2, "r2", &arena_));
 
   wal_->LogCommit(t1, 100);
   wal_->LogCommit(t2, 101);
@@ -207,7 +210,7 @@ TEST_F(WalManagerTest, TruncateAllResets) {
   BufferFrame frame;
   uint64_t g = wal_->OnPageWrite(t1, &frame);
   wal_->LogData(t1, WalRecordType::kInsert, g,
-                WalRecordCodec::DataPayload(1, 1, "r"));
+                WalRecordCodec::DataPayloadTo(1, 1, "r", &arena_));
   wal_->LogCommit(t1, 9);
   wal_->WaitCommitDurable(t1);
   ASSERT_OK(wal_->TruncateAll());
@@ -223,7 +226,7 @@ TEST_F(WalManagerTest, ScanToleratesTornTail) {
   BufferFrame frame;
   uint64_t g = wal_->OnPageWrite(t1, &frame);
   wal_->LogData(t1, WalRecordType::kInsert, g,
-                WalRecordCodec::DataPayload(1, 1, "good"));
+                WalRecordCodec::DataPayloadTo(1, 1, "good", &arena_));
   wal_->LogCommit(t1, 7);
   wal_->WaitCommitDurable(t1);
   wal_.reset();  // close manager (drains)
