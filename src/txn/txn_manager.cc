@@ -130,10 +130,15 @@ void TxnManager::RefreshStatementSnapshot(Transaction* txn) {
 
 Timestamp TxnManager::PrepareCommit(Transaction* txn) {
   ComponentScope prof(Component::kMvcc);
+  SlotState& s = *slots_[txn->slot_id_];
+  // Publish the pending marker before taking the timestamp: a reader whose
+  // snapshot is at or above cts acquired the clock after this store, so it
+  // sees the marker (or cts) rather than a commit that has not started.
+  s.committing_cts.store(kCommitPending, std::memory_order_release);
   Timestamp cts = clock_->Next();
   // Publish the commit as unfinished before any ets makes it visible: the
   // ets release stores below carry this store to every reader of them.
-  slots_[txn->slot_id_]->committing_cts.store(cts, std::memory_order_relaxed);
+  s.committing_cts.store(cts, std::memory_order_release);
   // Single scan over the transaction's UNDO list (Section 6.2).
   for (UndoRecord* rec = txn->undo_head_; rec != nullptr;
        rec = rec->txn_next) {
@@ -155,6 +160,22 @@ void TxnManager::FinishTransaction(Transaction* txn, bool committed) {
   }
   s.cv.notify_all();
   if (on_finish_) on_finish_(xid);
+}
+
+std::optional<Timestamp> TxnManager::CommitTsOf(Xid xid) const {
+  for (const auto& s : slots_) {
+    if (s->active_xid.load(std::memory_order_acquire) != xid) continue;
+    for (;;) {
+      uint64_t cts = s->committing_cts.load(std::memory_order_acquire);
+      // Re-check the owner after the load: a value stored by a later
+      // transaction on this slot is only read after xid's finish.
+      if (s->active_xid.load(std::memory_order_acquire) != xid) break;
+      if (cts != kCommitPending) return cts;
+      std::this_thread::yield();  // between the marker and the clock tick
+    }
+    break;
+  }
+  return std::nullopt;
 }
 
 bool TxnManager::IsXidActive(Xid xid) const {

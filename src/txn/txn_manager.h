@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "buffer/buffer_frame.h"
@@ -23,6 +24,11 @@ namespace phoebe {
 /// Sentinel published while a transaction is allocating its start timestamp
 /// (lets the GC watermark scan account for in-flight begins).
 inline constexpr uint64_t kPendingXid = kXidTagBit;
+
+/// Sentinel a committing slot publishes while it allocates its commit
+/// timestamp, so a reader that began after that allocation never mistakes
+/// the commit for one that has not started (see CommitTsOf).
+inline constexpr uint64_t kCommitPending = ~0ull;
 
 /// Transaction manager: slot registry, the transaction-ID lock protocol
 /// (Section 7.2), watermark computation and UNDO/twin-table GC (Section 7.3).
@@ -41,7 +47,8 @@ class TxnManager {
     std::atomic<uint64_t> active_snapshot{0};
     /// Commit timestamp of the slot's transaction while its commit is
     /// prepared (visible to readers) but not finished (possibly not yet
-    /// durable); 0 otherwise.
+    /// durable); kCommitPending while that timestamp is being allocated;
+    /// 0 otherwise.
     std::atomic<uint64_t> committing_cts{0};
     /// start_ts of the newest transaction whose UNDO was fully reclaimed.
     std::atomic<uint64_t> last_reclaimed_start_ts{0};
@@ -130,6 +137,14 @@ class TxnManager {
   /// finishes or `micros` elapse (bounded, since a commit that fail-stop
   /// rejected never finishes).
   void WaitCommitFinished(SlotState* s, uint64_t micros);
+
+  /// Commit progress of `xid`, for a reader that found it as the ets of a
+  /// chain head: the commit timestamp once `xid` has taken one (its ets
+  /// stamps may still be under way), 0 while it is active and has not begun
+  /// to commit, nullopt once it has finished. A transaction whose commit
+  /// timestamp precedes the reader's snapshot is never reported as 0: the
+  /// clock orders its kCommitPending store before the reader's snapshot.
+  std::optional<Timestamp> CommitTsOf(Xid xid) const;
 
   /// --- Transaction-ID locks -------------------------------------------------
 

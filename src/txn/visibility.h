@@ -12,6 +12,8 @@
 
 namespace phoebe {
 
+class TxnManager;
+
 /// Result of a visibility check: the tuple version visible to a snapshot.
 /// `row` is a borrowed slice — when the base tuple was directly visible it
 /// aliases the caller's `base_row` bytes (assembled == false, no copy made);
@@ -41,11 +43,19 @@ struct VisibleVersion {
 /// deltas until the first record with sts <= snapshot (lines 5-9). Records
 /// reclaimed concurrently are detected via the stamp protocol and resolve to
 /// "base visible" (line 4), matching the paper's reclaimed-pointer rule.
+///
+/// A head whose writer has taken a commit timestamp at or below `snapshot`
+/// but not yet stamped its ets is visible: `txns` resolves the writer's
+/// commit progress (TxnManager::CommitTsOf), so a snapshot reads the same
+/// version before and after the stamp. The caller must hold the page latch
+/// `base_row` was read under, so the head cannot be rolled back meanwhile.
+/// A null `txns` treats every unstamped head as uncommitted (single-threaded
+/// use only).
 Status RetrieveVisibleVersion(const Schema& schema, Xid xid,
                               Timestamp snapshot, Slice base_row,
                               bool base_deleted, TwinTable::Entry* entry,
                               RelationId relation, RowId rid, Arena* arena,
-                              VisibleVersion* out);
+                              const TxnManager* txns, VisibleVersion* out);
 
 /// Write-conflict decision for updates/deletes (Section 6.2 end):
 ///   kOk       -> proceed (no concurrent writer; latest version committed

@@ -154,7 +154,7 @@ class PaperExampleTest : public ::testing::Test {
     Status st = RetrieveVisibleVersion(schema_, xid, snapshot, base_row,
                                        false,
                                        &twin_.entry(static_cast<uint16_t>(rid)),
-                                       1, rid, &scratch_, &vv);
+                                       1, rid, &scratch_, nullptr, &vv);
     EXPECT_TRUE(st.ok()) << st.ToString();
     EXPECT_TRUE(vv.exists);
     return ValueOf(schema_, vv.row);
@@ -198,14 +198,14 @@ TEST_F(PaperExampleTest, NullChainMeansBaseVisible) {
   std::string base = Row(schema_, "z");
   VisibleVersion vv;
   ASSERT_OK(RetrieveVisibleVersion(schema_, xid3_, 1, base, false, &empty, 1,
-                                   9, &scratch_, &vv));
+                                   9, &scratch_, nullptr, &vv));
   EXPECT_TRUE(vv.exists);
   EXPECT_FALSE(vv.assembled);  // borrowed, not assembled in the arena
   EXPECT_EQ(vv.row.data(), base.data());
   EXPECT_EQ(ValueOf(schema_, vv.row), "z");
   // And with no twin table at all (line 1-2).
   ASSERT_OK(RetrieveVisibleVersion(schema_, xid3_, 1, base, false, nullptr, 1,
-                                   9, &scratch_, &vv));
+                                   9, &scratch_, nullptr, &vv));
   EXPECT_TRUE(vv.exists);
 }
 
@@ -218,7 +218,8 @@ TEST_F(PaperExampleTest, DeleteAndInsertKinds) {
   std::string base_n = Row(schema_, "n");
   VisibleVersion vv;
   ASSERT_OK(RetrieveVisibleVersion(schema_, xid3_, 5, base_n, false,
-                                   &twin_.entry(5), 1, 5, &scratch_, &vv));
+                                   &twin_.entry(5), 1, 5, &scratch_, nullptr,
+                                   &vv));
   EXPECT_FALSE(vv.exists);
 
   // Delete record (uncommitted): older reader still sees the row.
@@ -229,7 +230,7 @@ TEST_F(PaperExampleTest, DeleteAndInsertKinds) {
   std::string base_d = Row(schema_, "d");
   ASSERT_OK(RetrieveVisibleVersion(schema_, xid3_, 5, base_d,
                                    /*base_deleted=*/true, &twin_.entry(6), 1,
-                                   6, &scratch_, &vv));
+                                   6, &scratch_, nullptr, &vv));
   EXPECT_TRUE(vv.exists);
   EXPECT_EQ(ValueOf(schema_, vv.row), "d");
 }
@@ -296,6 +297,49 @@ TEST(TxnManagerTest, BeginCommitLifecycle) {
   EXPECT_EQ(rec->ets.load(), cts);  // single-scan ets update
   tm.FinishTransaction(txn, true);
   EXPECT_FALSE(tm.IsXidActive(txn->xid()));
+}
+
+// A writer that has taken its commit timestamp but not yet stamped its ets
+// is committed for every snapshot at or above that timestamp: reading the
+// head before and after the stamp must give the same version.
+TEST(TxnManagerTest, CommitBeforeStampVisibleToLaterSnapshot) {
+  GlobalClock clock;
+  TxnManager tm(2, &clock);
+  Schema schema = OneCol();
+  Transaction* w = tm.Begin(0, IsolationLevel::kReadCommitted);
+  EXPECT_EQ(tm.CommitTsOf(w->xid()), std::optional<Timestamp>(0));
+
+  // The head the writer installed; kept off its UNDO list so PrepareCommit
+  // leaves it unstamped, as a commit still between the clock and the stamp.
+  UndoRecord* head = tm.slot(0).arena.Alloc(UndoKind::kUpdate, 1, 1,
+                                            DeltaTo(schema, "old"));
+  head->sts.store(1, std::memory_order_relaxed);
+  head->ets.store(w->xid(), std::memory_order_relaxed);
+  TwinTable::Entry entry;
+  entry.head.store(head, std::memory_order_relaxed);
+  std::string base = Row(schema, "new");
+  Arena scratch;
+  auto read = [&](Timestamp snapshot, VisibleVersion* vv) {
+    ASSERT_OK(RetrieveVisibleVersion(schema, MakeXid(1000), snapshot, base,
+                                     false, &entry, 1, 1, &scratch, &tm, vv));
+  };
+
+  Timestamp early = clock.Current();
+  VisibleVersion vv;
+  read(early, &vv);  // not committing: the before image
+  EXPECT_EQ(ValueOf(schema, vv.row), "old");
+
+  Timestamp cts = tm.PrepareCommit(w);
+  EXPECT_EQ(tm.CommitTsOf(w->xid()), std::optional<Timestamp>(cts));
+  Timestamp late = clock.Next();
+  read(late, &vv);
+  EXPECT_EQ(ValueOf(schema, vv.row), "new");
+  EXPECT_EQ(vv.cts, cts);  // the observed-commit check waits for it
+  read(early, &vv);  // the commit is after this snapshot
+  EXPECT_EQ(ValueOf(schema, vv.row), "old");
+
+  tm.FinishTransaction(w, true);
+  EXPECT_FALSE(tm.CommitTsOf(w->xid()).has_value());
 }
 
 TEST(TxnManagerTest, RepeatableReadKeepsSnapshot) {
