@@ -6,6 +6,8 @@
 #include "common/arena.h"
 #include "common/profiler.h"
 #include "storage/schema.h"
+#include "txn/clock.h"
+#include "txn/txn_manager.h"
 #include "txn/undo.h"
 #include "txn/visibility.h"
 
@@ -46,10 +48,12 @@ void BM_VisibilityNoTwin(benchmark::State& state) {
   Schema s = OneCol();
   std::string base = Row(s, 7);
   Arena scratch;
+  GlobalClock clock;
+  TxnManager txns(2, &clock);
   for (auto _ : state) {
     VisibleVersion vv;
     benchmark::DoNotOptimize(RetrieveVisibleVersion(
-        s, MakeXid(5), 10, base, false, nullptr, 1, 1, &scratch, nullptr,
+        s, MakeXid(5), 10, base, false, nullptr, 1, 1, &scratch, txns,
         &vv));
   }
 }
@@ -66,10 +70,12 @@ void BM_VisibilityHeaderHit(benchmark::State& state) {
   rec->ets.store(5, std::memory_order_relaxed);
   twin.entry(1).head.store(rec, std::memory_order_relaxed);
   Arena scratch;
+  GlobalClock clock;
+  TxnManager txns(2, &clock);
   for (auto _ : state) {
     VisibleVersion vv;
     benchmark::DoNotOptimize(RetrieveVisibleVersion(
-        s, MakeXid(9), 10, base, false, &twin.entry(1), 1, 1, &scratch, nullptr,
+        s, MakeXid(9), 10, base, false, &twin.entry(1), 1, 1, &scratch, txns,
         &vv));
     scratch.Reset();
   }
@@ -97,15 +103,46 @@ void BM_VisibilityChainWalk(benchmark::State& state) {
   // Reset the arena every iteration, mirroring the per-transaction reset in
   // TxnManager::BeginOnSlot (steady state reuses the same blocks).
   Arena scratch;
+  GlobalClock clock;
+  TxnManager txns(2, &clock);
   for (auto _ : state) {
     VisibleVersion vv;
     benchmark::DoNotOptimize(RetrieveVisibleVersion(
-        s, MakeXid(1), 1, base, false, &twin.entry(1), 1, 1, &scratch, nullptr,
+        s, MakeXid(1), 1, base, false, &twin.entry(1), 1, 1, &scratch, txns,
         &vv));
     scratch.Reset();
   }
 }
 BENCHMARK(BM_VisibilityChainWalk)->Arg(1)->Arg(8)->Arg(64);
+
+void BM_VisibilityForeignXidHead(benchmark::State& state) {
+  // Head written by another active transaction that has not begun to
+  // commit: the reader asks the manager for the writer's commit progress
+  // (a scan over N slots, the writer on the last) and walks one record.
+  Schema s = OneCol();
+  UndoArena arena;
+  TwinTable twin(4);
+  GlobalClock clock;
+  uint32_t slots = static_cast<uint32_t>(state.range(0));
+  TxnManager txns(slots, &clock);
+  Transaction* writer = txns.Begin(slots - 1, IsolationLevel::kReadCommitted);
+  std::string base = Row(s, 2);
+  UndoRecord* rec = arena.Alloc(UndoKind::kUpdate, 1, 1, Delta(s, Row(s, 1)));
+  rec->sts.store(1, std::memory_order_relaxed);
+  rec->ets.store(writer->xid(), std::memory_order_relaxed);
+  twin.entry(1).head.store(rec, std::memory_order_relaxed);
+  Timestamp snapshot = clock.Next();
+  Arena scratch;
+  for (auto _ : state) {
+    VisibleVersion vv;
+    benchmark::DoNotOptimize(RetrieveVisibleVersion(
+        s, MakeXid(snapshot), snapshot, base, false, &twin.entry(1), 1, 1,
+        &scratch, txns, &vv));
+    scratch.Reset();
+  }
+  txns.FinishTransaction(writer, false);
+}
+BENCHMARK(BM_VisibilityForeignXidHead)->Arg(2)->Arg(40);
 
 void BM_VisibilityChainWalkAllocs(benchmark::State& state) {
   // Reports allocs/op for the chain walk: steady state should be heap-free
@@ -126,6 +163,8 @@ void BM_VisibilityChainWalkAllocs(benchmark::State& state) {
   }
   twin.entry(1).head.store(next, std::memory_order_relaxed);
   Arena scratch;
+  GlobalClock clock;
+  TxnManager txns(2, &clock);
   Profiler::Reset();
   Profiler::EnableAllocTracking(true);
   Profiler::Totals before = Profiler::Aggregate();
@@ -133,7 +172,7 @@ void BM_VisibilityChainWalkAllocs(benchmark::State& state) {
   for (auto _ : state) {
     VisibleVersion vv;
     benchmark::DoNotOptimize(RetrieveVisibleVersion(
-        s, MakeXid(1), 1, base, false, &twin.entry(1), 1, 1, &scratch, nullptr,
+        s, MakeXid(1), 1, base, false, &twin.entry(1), 1, 1, &scratch, txns,
         &vv));
     scratch.Reset();
     ++iters;

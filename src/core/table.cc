@@ -375,7 +375,7 @@ Status Table::GetRef(OpContext* ctx, Transaction* txn, RowId rid,
   VisibleVersion vv;
   PHOEBE_RETURN_IF_ERROR(RetrieveVisibleVersion(
       schema_, txn->xid(), txn->snapshot(), base.value(), base_deleted, entry,
-      id_, rid, arena, deps_->txn_mgr, &vv));
+      id_, rid, arena, *deps_->txn_mgr, &vv));
   g.Release();
   txn->max_observed_cts = std::max(txn->max_observed_cts, vv.cts);
   if (!vv.exists) return Status::NotFound();

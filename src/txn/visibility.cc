@@ -46,7 +46,7 @@ Status RetrieveVisibleVersion(const Schema& schema, Xid xid,
                               Timestamp snapshot, Slice base_row,
                               bool base_deleted, TwinTable::Entry* entry,
                               RelationId relation, RowId rid, Arena* arena,
-                              const TxnManager* txns, VisibleVersion* out) {
+                              const TxnManager& txns, VisibleVersion* out) {
   ComponentScope prof(Component::kMvcc);
   // Lines 1-2: no twin table -> the tuple itself is visible. The row slice
   // borrows the caller's base_row bytes — no copy (the common OLTP case).
@@ -59,8 +59,8 @@ Status RetrieveVisibleVersion(const Schema& schema, Xid xid,
   };
   if (entry == nullptr) return base_visible();
 
-  constexpr int kAttempts = 64;
-  for (int attempt = 0; attempt < kAttempts; ++attempt) {
+  bool reread = false;
+  for (int attempt = 0; attempt < 64; ++attempt) {
     UndoRecord* head = entry->head.load(std::memory_order_acquire);
     // Lines 3-4: null or reclaimed header -> base visible.
     if (head == nullptr) return base_visible();
@@ -72,17 +72,16 @@ Status RetrieveVisibleVersion(const Schema& schema, Xid xid,
       if (hc.ets <= snapshot) return base_visible(hc.ets);
     } else if (hc.ets == xid) {
       return base_visible();
-    } else if (txns != nullptr) {
+    } else if (std::optional<Timestamp> cts = txns.CommitTsOf(hc.ets)) {
       // The writer may be between taking its commit timestamp and stamping
       // it: a commit inside the snapshot makes its (base) version visible.
-      std::optional<Timestamp> cts = txns->CommitTsOf(hc.ets);
-      if (!cts.has_value()) {
-        // Finished: a commit has stamped the head by now (a rollback needs
-        // the latch the caller holds); re-read it.
-        if (attempt + 1 < kAttempts) continue;
-      } else if (*cts != 0 && *cts <= snapshot) {
-        return base_visible(*cts);
-      }
+      if (*cts != 0 && *cts <= snapshot) return base_visible(*cts);
+    } else if (!reread) {
+      // Finished: a commit stamped the head before its slot's release store
+      // that CommitTsOf acquired (a rollback needs the latch the caller
+      // holds), so one re-read sees the stamp.
+      reread = true;
+      continue;
     }
 
     // Lines 5-9: walk the chain assembling before images in the arena.

@@ -49,13 +49,11 @@ struct VisibleVersion {
 /// commit progress (TxnManager::CommitTsOf), so a snapshot reads the same
 /// version before and after the stamp. The caller must hold the page latch
 /// `base_row` was read under, so the head cannot be rolled back meanwhile.
-/// A null `txns` treats every unstamped head as uncommitted (single-threaded
-/// use only).
 Status RetrieveVisibleVersion(const Schema& schema, Xid xid,
                               Timestamp snapshot, Slice base_row,
                               bool base_deleted, TwinTable::Entry* entry,
                               RelationId relation, RowId rid, Arena* arena,
-                              const TxnManager* txns, VisibleVersion* out);
+                              const TxnManager& txns, VisibleVersion* out);
 
 /// Write-conflict decision for updates/deletes (Section 6.2 end):
 ///   kOk       -> proceed (no concurrent writer; latest version committed

@@ -154,7 +154,7 @@ class PaperExampleTest : public ::testing::Test {
     Status st = RetrieveVisibleVersion(schema_, xid, snapshot, base_row,
                                        false,
                                        &twin_.entry(static_cast<uint16_t>(rid)),
-                                       1, rid, &scratch_, nullptr, &vv);
+                                       1, rid, &scratch_, txns_, &vv);
     EXPECT_TRUE(st.ok()) << st.ToString();
     EXPECT_TRUE(vv.exists);
     return ValueOf(schema_, vv.row);
@@ -163,6 +163,8 @@ class PaperExampleTest : public ::testing::Test {
   Schema schema_;
   UndoArena arena_;
   Arena scratch_;
+  GlobalClock clock_;
+  TxnManager txns_{2, &clock_};  // no XID of the example is active in it
   TwinTable twin_{16};
   Xid xid7_, xid3_;
   UndoRecord *r1_new_, *r1_old_, *r2_, *r3_;
@@ -198,14 +200,14 @@ TEST_F(PaperExampleTest, NullChainMeansBaseVisible) {
   std::string base = Row(schema_, "z");
   VisibleVersion vv;
   ASSERT_OK(RetrieveVisibleVersion(schema_, xid3_, 1, base, false, &empty, 1,
-                                   9, &scratch_, nullptr, &vv));
+                                   9, &scratch_, txns_, &vv));
   EXPECT_TRUE(vv.exists);
   EXPECT_FALSE(vv.assembled);  // borrowed, not assembled in the arena
   EXPECT_EQ(vv.row.data(), base.data());
   EXPECT_EQ(ValueOf(schema_, vv.row), "z");
   // And with no twin table at all (line 1-2).
   ASSERT_OK(RetrieveVisibleVersion(schema_, xid3_, 1, base, false, nullptr, 1,
-                                   9, &scratch_, nullptr, &vv));
+                                   9, &scratch_, txns_, &vv));
   EXPECT_TRUE(vv.exists);
 }
 
@@ -218,7 +220,7 @@ TEST_F(PaperExampleTest, DeleteAndInsertKinds) {
   std::string base_n = Row(schema_, "n");
   VisibleVersion vv;
   ASSERT_OK(RetrieveVisibleVersion(schema_, xid3_, 5, base_n, false,
-                                   &twin_.entry(5), 1, 5, &scratch_, nullptr,
+                                   &twin_.entry(5), 1, 5, &scratch_, txns_,
                                    &vv));
   EXPECT_FALSE(vv.exists);
 
@@ -230,7 +232,7 @@ TEST_F(PaperExampleTest, DeleteAndInsertKinds) {
   std::string base_d = Row(schema_, "d");
   ASSERT_OK(RetrieveVisibleVersion(schema_, xid3_, 5, base_d,
                                    /*base_deleted=*/true, &twin_.entry(6), 1,
-                                   6, &scratch_, nullptr, &vv));
+                                   6, &scratch_, txns_, &vv));
   EXPECT_TRUE(vv.exists);
   EXPECT_EQ(ValueOf(schema_, vv.row), "d");
 }
@@ -321,7 +323,7 @@ TEST(TxnManagerTest, CommitBeforeStampVisibleToLaterSnapshot) {
   Arena scratch;
   auto read = [&](Timestamp snapshot, VisibleVersion* vv) {
     ASSERT_OK(RetrieveVisibleVersion(schema, MakeXid(1000), snapshot, base,
-                                     false, &entry, 1, 1, &scratch, &tm, vv));
+                                     false, &entry, 1, 1, &scratch, tm, vv));
   };
 
   Timestamp early = clock.Current();
