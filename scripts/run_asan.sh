@@ -8,7 +8,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-TESTS=(io_test wal_test fault_env_test recovery_property_test checkpoint_test crash_torture_test freeze_stress_test readonly_commit_test scheduler_stress_test codec_fuzz_test schema_test storage_test table_test node_test btree_test btree_model_test)
+TESTS=(io_test wal_test fault_env_test recovery_property_test checkpoint_test crash_torture_test freeze_stress_test readonly_commit_test scheduler_stress_test codec_fuzz_test schema_test storage_test table_test node_test btree_test btree_model_test txn_scenarios_test)
 
 cmake --preset asan
 cmake --build --preset asan -j "$(nproc)" --target "${TESTS[@]}"

@@ -7,7 +7,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-TESTS=(wal_test wal_pipeline_stress_test recovery_property_test checkpoint_test mvcc_stress_test fault_env_test crash_torture_test readonly_commit_test scheduler_stress_test node_test btree_test btree_model_test table_test)
+TESTS=(wal_test wal_pipeline_stress_test recovery_property_test checkpoint_test mvcc_stress_test fault_env_test crash_torture_test readonly_commit_test scheduler_stress_test node_test btree_test btree_model_test table_test txn_scenarios_test)
 
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target "${TESTS[@]}"

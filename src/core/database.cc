@@ -505,10 +505,7 @@ Status Database::Abort(OpContext* ctx, Transaction* txn) {
     arena.FreeAborted(rec);
     rec = next;
   }
-  if (!read_only) {
-    WalWriter& w = wal_->WriterFor(txn->slot_id());
-    w.Append(WalRecordType::kAbort, txn->xid(), w.LoadGsn(), Slice());
-  }
+  if (!read_only) wal_->LogAbort(txn);
   txn_mgr_->FinishTransaction(txn, /*committed=*/false);
   ReleaseBaselineLocks(txn);
   return result;
@@ -787,25 +784,6 @@ Database::Stats Database::GetStats() const {
   }
   s.clock_now = clock_.Current();
   return s;
-}
-
-std::string Database::GetStatsString() const {
-  Stats s = GetStats();
-  char buf[512];
-  snprintf(buf, sizeof(buf),
-           "buffer: %llu/%llu frames free, %llu evictions, %llu loads\n"
-           "undo: %llu live records; wal: %llu bytes flushed\n"
-           "disk: %llu data pages; txns: %u active; clock: %llu",
-           static_cast<unsigned long long>(s.buffer_frames_free),
-           static_cast<unsigned long long>(s.buffer_frames_total),
-           static_cast<unsigned long long>(s.buffer_evictions),
-           static_cast<unsigned long long>(s.buffer_loads),
-           static_cast<unsigned long long>(s.live_undo_records),
-           static_cast<unsigned long long>(s.wal_bytes_flushed),
-           static_cast<unsigned long long>(s.data_pages_on_disk),
-           s.active_transactions,
-           static_cast<unsigned long long>(s.clock_now));
-  return buf;
 }
 
 Status Database::Close() {

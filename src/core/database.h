@@ -166,7 +166,6 @@ class Database {
     uint64_t clock_now = 0;
   };
   Stats GetStats() const;
-  std::string GetStatsString() const;
 
   struct RecoveryInfo {
     bool ran = false;

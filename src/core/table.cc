@@ -259,30 +259,72 @@ Status Table::IndexRemoveEntry(OpContext* ctx, IndexDef& idx, Slice user_key,
 }
 
 // ---------------------------------------------------------------------------
-// Insert
+// The write step
 // ---------------------------------------------------------------------------
 
-Status Table::InsertBase(OpContext* ctx, Transaction* txn, RowId rid,
-                         Slice row) {
+Status Table::LockRowBaseline(OpContext* ctx, Transaction* txn, RowId rid) {
+  const uint64_t lock_key = GlobalLockTable::Key(id_, rid);
+  for (;;) {
+    Status st = deps_->lock_table->AcquireExclusive(lock_key, txn->xid(),
+                                                    /*blocking=*/false);
+    if (st.ok()) {
+      (*deps_->held_locks)[txn->slot_id()].push_back(lock_key);
+      txn->waiting_on = 0;
+      return Status::OK();
+    }
+    // OK: retry synchronously; else kBlocked (yield) or kAborted (timeout).
+    PHOEBE_RETURN_IF_ERROR(HandleWriteBlock(ctx, txn, st));
+  }
+}
+
+void Table::LinkUndo(Transaction* txn, TwinTable* twin,
+                     TwinTable::Entry& entry, UndoKind kind, RowId rid,
+                     Slice delta) {
+  UndoRecord* prev = entry.head.load(std::memory_order_acquire);
+  uint64_t prev_ets = 0;
+  if (prev != nullptr && prev->IsLive(nullptr) && prev->rid == rid) {
+    prev_ets = prev->ets.load(std::memory_order_acquire);
+  }
+  // An insert fills a slot that is not live, and such a slot has no live
+  // head with its row id (row ids are never reused).
+  assert(kind != UndoKind::kInsert || prev_ets == 0);
+  UndoRecord* undo = deps_->txn_mgr->slot(txn->slot_id())
+                         .arena.Alloc(kind, id_, rid, delta);
+  undo->sts.store(prev_ets, std::memory_order_relaxed);
+  undo->ets.store(txn->xid(), std::memory_order_relaxed);
+  undo->next.store(prev, std::memory_order_relaxed);
+  txn->PushUndo(undo);
+  twin->NoteWriter(txn->xid());
+  entry.head.store(undo, std::memory_order_release);
+}
+
+Status Table::WriteRow(OpContext* ctx, Transaction* txn, RowId rid,
+                       UndoKind kind, ChangeFn prepare, bool* leaf_miss) {
+  // An insert fills a fresh row id, which no other writer can hold; updates
+  // and deletes take the row's lock first.
+  const bool locks = kind != UndoKind::kInsert;
+  if (locks && deps_->options->baseline_global_lock_table) {
+    PHOEBE_RETURN_IF_ERROR(LockRowBaseline(ctx, txn, rid));
+  }
+  *leaf_miss = false;
   for (;;) {
     LeafGuard g;
-    PHOEBE_RETURN_IF_ERROR(tree_->FixLeaf(ctx, BTree::TableKey(rid),
-                                          LatchMode::kExclusive, &g));
+    PHOEBE_RETURN_IF_ERROR(
+        tree_->FixLeaf(ctx, BTree::TableKey(rid), LatchMode::kExclusive, &g));
     TableLeaf leaf(g.page(), &schema_, &layout_);
-    if (!leaf.InRange(rid)) {
-      g.Release();
-      PHOEBE_RETURN_IF_ERROR(tree_->AppendTableLeaf(ctx, rid));
-      continue;
+    if (!leaf.InRange(rid) || (locks && !leaf.IsLive(leaf.SlotOf(rid)))) {
+      *leaf_miss = true;
+      return Status::OK();
     }
-    uint16_t slot = leaf.SlotOf(rid);
+    const uint16_t slot = leaf.SlotOf(rid);
     BufferFrame* frame = g.frame();
     bool created = TwinTable::Of(frame) == nullptr;
     TwinTable* twin = TwinTable::GetOrCreate(frame, leaf.capacity());
     if (created) deps_->txn_mgr->RegisterTwin(id_, frame);
     auto& entry = twin->entry(slot);
 
-    if (leaf.IsLive(slot)) {
-      // Resume idempotence: already applied by this transaction?
+    if (!locks && leaf.IsLive(slot)) {
+      // Resume idempotence: already inserted by this transaction?
       UndoRecord* h = entry.head.load(std::memory_order_acquire);
       if (h != nullptr && h->IsLive(nullptr) && h->rid == rid &&
           h->kind == UndoKind::kInsert &&
@@ -291,49 +333,109 @@ Status Table::InsertBase(OpContext* ctx, Transaction* txn, RowId rid,
       }
       return Status::Corruption("insert: row id already occupied");
     }
+    if (locks) {
+      ComponentScope prof(Component::kLocking);
+      Status conflict = CheckWriteConflict(txn->xid(), txn->snapshot(),
+                                           txn->isolation(), &entry, id_, rid);
+      if (conflict.IsBlocked()) {
+        g.Release();
+        // OK: retry synchronously; else kBlocked (yield) or kAborted.
+        PHOEBE_RETURN_IF_ERROR(HandleWriteBlock(ctx, txn, conflict));
+        continue;
+      }
+      if (!conflict.ok()) return conflict;
+      txn->waiting_on = 0;
+      // Deleted by a committed transaction: nothing to change.
+      if (leaf.IsDeleted(slot)) return Status::NotFound();
+    }
 
+    // No kBlocked from here on: the UNDO link is the first effect that a
+    // retry could not repeat (DESIGN.md 4b.5).
     ComponentScope prof(Component::kMvcc);
-    UndoRecord* prev = entry.head.load(std::memory_order_acquire);
-    UndoRecord* undo = deps_->txn_mgr->slot(txn->slot_id())
-                           .arena.Alloc(UndoKind::kInsert, id_, rid, Slice());
-    undo->sts.store(0, std::memory_order_relaxed);
-    undo->ets.store(txn->xid(), std::memory_order_relaxed);
-    undo->next.store(prev, std::memory_order_relaxed);
-    txn->PushUndo(undo);
-    twin->NoteWriter(txn->xid());
-    entry.locker.store(txn->xid(), std::memory_order_relaxed);
-    entry.head.store(undo, std::memory_order_release);
-
-    PHOEBE_RETURN_IF_ERROR(
-        leaf.InsertRow(slot, RowView(&schema_, row.data())));
+    RowChange change;
+    PHOEBE_RETURN_IF_ERROR(prepare(leaf, slot, &change));
+    LinkUndo(txn, twin, entry, kind, rid, change.undo_delta);
+    WalRecordType type{};
+    switch (kind) {
+      case UndoKind::kInsert:
+        type = WalRecordType::kInsert;
+        PHOEBE_RETURN_IF_ERROR(leaf.InsertRow(
+            slot, RowView(&schema_, change.new_row.data())));
+        break;
+      case UndoKind::kUpdate:
+        type = WalRecordType::kUpdate;
+        PHOEBE_RETURN_IF_ERROR(leaf.UpdateRow(
+            slot, RowView(&schema_, change.new_row.data())));
+        break;
+      case UndoKind::kDelete:
+        type = WalRecordType::kDelete;
+        PHOEBE_RETURN_IF_ERROR(leaf.SetDeleted(slot, true));
+        break;
+    }
+    // Stamp the page and log the change under the page's GSN (Section 8).
     frame->dirty.store(true, std::memory_order_release);
     uint64_t gsn = deps_->wal->OnPageWrite(txn, frame);
-    deps_->wal->LogData(
-        txn, WalRecordType::kInsert, gsn,
-        WalRecordCodec::DataPayloadTo(id_, rid, row, ScratchOf(ctx, txn)));
-    entry.locker.store(0, std::memory_order_relaxed);
+    deps_->wal->LogData(txn, type, gsn,
+                        WalRecordCodec::DataPayloadTo(id_, rid, change.log_body,
+                                                      ScratchOf(ctx, txn)));
     return Status::OK();
   }
 }
+
+template <typename Fn>
+Status Table::ForEachKeyChange(Slice delta, RowView old_row, RowView new_row,
+                               Arena* arena, Fn&& fn) {
+  for (auto& idx : indexes_) {
+    Result<bool> touched =
+        DeltaCodec::TouchesAny(schema_, delta, idx->key_columns);
+    if (!touched.ok()) return touched.status();
+    if (!touched.value()) continue;
+    Result<Slice> old_key =
+        EncodeKey(schema_, idx->key_columns, old_row, arena);
+    if (!old_key.ok()) return old_key.status();
+    Result<Slice> new_key =
+        EncodeKey(schema_, idx->key_columns, new_row, arena);
+    if (!new_key.ok()) return new_key.status();
+    if (old_key.value() == new_key.value()) continue;
+    PHOEBE_RETURN_IF_ERROR(fn(*idx, old_key.value(), new_key.value()));
+  }
+  return Status::OK();
+}
+
+bool Table::IsFrozen(RowId rid) const {
+  return frozen_ != nullptr && rid <= frozen_->max_frozen_row_id();
+}
+
+// ---------------------------------------------------------------------------
+// Insert
+// ---------------------------------------------------------------------------
 
 Status Table::Insert(OpContext* ctx, Transaction* txn, Slice row,
                      RowId* rid_inout) {
   if (*rid_inout == 0) {
     *rid_inout = next_row_id_.fetch_add(1, std::memory_order_relaxed);
   }
-  RowId rid = *rid_inout;
-  PHOEBE_RETURN_IF_ERROR(InsertBase(ctx, txn, rid, row));
+  const RowId rid = *rid_inout;
+  for (bool leaf_miss = true; leaf_miss;) {
+    PHOEBE_RETURN_IF_ERROR(WriteRow(
+        ctx, txn, rid, UndoKind::kInsert,
+        [row](TableLeaf&, uint16_t, RowChange* change) {
+          change->new_row = row;
+          change->log_body = row;
+          return Status::OK();
+        },
+        &leaf_miss));
+    // Past the tail leaf: append the leaf that covers `rid`, then retry.
+    if (leaf_miss) PHOEBE_RETURN_IF_ERROR(tree_->AppendTableLeaf(ctx, rid));
+  }
 
   // Index maintenance: synchronous sub-context (no yields after the apply).
   OpContext sync;
   sync.InitSyncViewOf(*ctx);
-  PHOEBE_RETURN_IF_ERROR(ForEachIndexKey(
-      RowView(&schema_, row.data()), ScratchOf(ctx, txn),
-      [&](IndexDef& idx, Slice key) {
-        return IndexInsertEntry(&sync, idx, key, rid);
-      }));
-  txn->rows_written += 1;
-  return Status::OK();
+  return ForEachIndexKey(RowView(&schema_, row.data()), ScratchOf(ctx, txn),
+                         [&](IndexDef& idx, Slice key) {
+                           return IndexInsertEntry(&sync, idx, key, rid);
+                         });
 }
 
 // ---------------------------------------------------------------------------
@@ -353,15 +455,11 @@ Status Table::GetRef(OpContext* ctx, Transaction* txn, RowId rid,
   uint16_t slot;
   if (!leaf.InRange(rid) || !leaf.IsLive(slot = leaf.SlotOf(rid))) {
     g.Release();
-    if (frozen_ != nullptr && rid <= frozen_->max_frozen_row_id()) {
-      std::string tmp;
-      Status st = frozen_->ReadRow(rid, &tmp);
-      if (!st.ok()) return st;
-      *row = arena->Copy(tmp);
-      txn->rows_read += 1;
-      return Status::OK();
-    }
-    return Status::NotFound();
+    if (!IsFrozen(rid)) return Status::NotFound();
+    std::string tmp;
+    PHOEBE_RETURN_IF_ERROR(frozen_->ReadRow(rid, &tmp));
+    *row = arena->Copy(tmp);
+    return Status::OK();
   }
   // Materialize the base row into the arena so it survives releasing the
   // page latch (the visible version may borrow it directly).
@@ -380,7 +478,6 @@ Status Table::GetRef(OpContext* ctx, Transaction* txn, RowId rid,
   txn->max_observed_cts = std::max(txn->max_observed_cts, vv.cts);
   if (!vv.exists) return Status::NotFound();
   *row = vv.row;
-  txn->rows_read += 1;
   return Status::OK();
 }
 
@@ -400,152 +497,63 @@ Status Table::Update(OpContext* ctx, Transaction* txn, RowId rid,
 
 Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
                           UpdateFn compute) {
-
-  // Baseline global lock table: acquire before touching the page, with
-  // the same deadlock-timeout policy as Phoebe-mode XID waits.
-  if (deps_->options->baseline_global_lock_table) {
-    uint64_t lock_key = GlobalLockTable::Key(id_, rid);
-    for (;;) {
-      Status st = deps_->lock_table->AcquireExclusive(lock_key, txn->xid(),
-                                                      /*blocking=*/false);
-      if (st.ok()) {
-        (*deps_->held_locks)[txn->slot_id()].push_back(lock_key);
-        txn->waiting_on = 0;
-        break;
-      }
-      Status wait = HandleWriteBlock(ctx, txn, st);
-      if (wait.ok()) continue;  // synchronous retry
-      return wait;              // kBlocked (yield) or kAborted (timeout)
-    }
-  }
-
-  for (;;) {
-    LeafGuard g;
-    PHOEBE_RETURN_IF_ERROR(
-        tree_->FixLeaf(ctx, BTree::TableKey(rid), LatchMode::kExclusive, &g));
-    TableLeaf leaf(g.page(), &schema_, &layout_);
-    uint16_t slot;
-    if (!leaf.InRange(rid) || !leaf.IsLive(slot = leaf.SlotOf(rid))) {
-      g.Release();
-      if (frozen_ != nullptr && rid <= frozen_->max_frozen_row_id()) {
-        // Frozen update: warm the row into hot storage, then update the
-        // fresh copy (Section 5.2 case 3). Runs synchronously.
-        OpContext sync;
-        sync.InitSyncViewOf(*ctx);
-        RowId new_rid = 0;
-        PHOEBE_RETURN_IF_ERROR(WarmRow(&sync, txn, rid, &new_rid));
-        return UpdateApply(&sync, txn, new_rid, compute);
-      }
-      return Status::NotFound();
-    }
-    BufferFrame* frame = g.frame();
-    bool created = TwinTable::Of(frame) == nullptr;
-    TwinTable* twin = TwinTable::GetOrCreate(frame, leaf.capacity());
-    if (created) deps_->txn_mgr->RegisterTwin(id_, frame);
-    auto& entry = twin->entry(slot);
-
-    {
-      ComponentScope prof(Component::kLocking);
-      Status conflict = CheckWriteConflict(txn->xid(), txn->snapshot(),
-                                           txn->isolation(), &entry, id_, rid);
-      if (conflict.IsBlocked()) {
-        g.Release();
-        Status wait = HandleWriteBlock(ctx, txn, conflict);
-        if (wait.ok()) continue;  // synchronous retry
-        return wait;              // kBlocked (yield) or kAborted (deadlock)
-      }
-      if (!conflict.ok()) return conflict;
-      txn->waiting_on = 0;
-    }
-    if (leaf.IsDeleted(slot)) {
-      // Deleted by a committed transaction: nothing to update.
-      return Status::NotFound();
-    }
-
-    ComponentScope prof(Component::kMvcc);
-    // Allocation-free hot section: the old row, patched row, deltas, and
-    // WAL payload all live in the transaction arena (DESIGN.md 4g). The
-    // old row is materialized off the page so index maintenance can read
-    // it after the latch drops.
-    Arena* arena = ScratchOf(ctx, txn);
-    Result<Slice> old_row = leaf.ReadRowTo(slot, arena);
-    if (!old_row.ok()) return old_row.status();
-    RowView old_view(&schema_, old_row.value().data());
-
-    // Evaluate the update against the current committed row (atomic RMW).
-    std::vector<std::pair<uint32_t, Value>> sets;
-    {
-      Status st = compute(old_view, &sets);
-      if (!st.ok()) return st;
-    }
-
-    // Patch the encoded row directly instead of re-building every column
-    // through RowBuilder.
-    Result<Slice> new_row =
-        PatchRowTo(schema_, old_view, sets.data(), sets.size(), arena);
-    if (!new_row.ok()) return new_row.status();
-    RowView new_view(&schema_, new_row.value().data());
-
-    const size_t ncols = sets.size();
-    uint32_t* cols = reinterpret_cast<uint32_t*>(
-        arena->Allocate(ncols * sizeof(uint32_t)));
-    for (size_t i = 0; i < ncols; ++i) cols[i] = sets[i].first;
-
-    // UNDO: before-image delta of the touched columns (Section 6.2).
-    Slice before_delta =
-        DeltaCodec::MakeDeltaTo(schema_, old_view, cols, ncols, arena);
-    UndoRecord* prev = entry.head.load(std::memory_order_acquire);
-    uint64_t prev_ets = 0;
-    if (prev != nullptr && prev->IsLive(nullptr) && prev->rid == rid) {
-      prev_ets = prev->ets.load(std::memory_order_acquire);
-    }
-    UndoRecord* undo =
-        deps_->txn_mgr->slot(txn->slot_id())
-            .arena.Alloc(UndoKind::kUpdate, id_, rid, before_delta);
-    undo->sts.store(prev_ets, std::memory_order_relaxed);
-    undo->ets.store(txn->xid(), std::memory_order_relaxed);
-    undo->next.store(prev, std::memory_order_relaxed);
-    txn->PushUndo(undo);
-    twin->NoteWriter(txn->xid());
-    entry.locker.store(txn->xid(), std::memory_order_relaxed);
-    entry.head.store(undo, std::memory_order_release);
-
-    PHOEBE_RETURN_IF_ERROR(leaf.UpdateRow(slot, new_view));
-    frame->dirty.store(true, std::memory_order_release);
-    uint64_t gsn = deps_->wal->OnPageWrite(txn, frame);
-    Slice after_delta =
-        DeltaCodec::MakeDeltaTo(schema_, new_view, cols, ncols, arena);
-    deps_->wal->LogData(
-        txn, WalRecordType::kUpdate, gsn,
-        WalRecordCodec::DataPayloadTo(id_, rid, after_delta, arena));
-    entry.locker.store(0, std::memory_order_relaxed);
-    g.Release();
-
-    // Key-changing updates: swap the affected index entries (synchronous).
+  // Allocation-free hot section: the old row, patched row, deltas, and WAL
+  // payload all live in the transaction arena (DESIGN.md 4g). The old row is
+  // materialized off the page so index maintenance can read it after the
+  // latch drops.
+  Arena* arena = ScratchOf(ctx, txn);
+  RowView old_view;
+  RowView new_view;
+  Slice before_delta;
+  bool leaf_miss = false;
+  PHOEBE_RETURN_IF_ERROR(WriteRow(
+      ctx, txn, rid, UndoKind::kUpdate,
+      [&](TableLeaf& leaf, uint16_t slot, RowChange* change) -> Status {
+        Result<Slice> old_row = leaf.ReadRowTo(slot, arena);
+        if (!old_row.ok()) return old_row.status();
+        old_view = RowView(&schema_, old_row.value().data());
+        // Evaluate the update against the current committed row (atomic
+        // RMW), then patch the encoded row directly.
+        std::vector<std::pair<uint32_t, Value>> sets;
+        PHOEBE_RETURN_IF_ERROR(compute(old_view, &sets));
+        Result<Slice> new_row =
+            PatchRowTo(schema_, old_view, sets.data(), sets.size(), arena);
+        if (!new_row.ok()) return new_row.status();
+        new_view = RowView(&schema_, new_row.value().data());
+        const size_t ncols = sets.size();
+        uint32_t* cols = reinterpret_cast<uint32_t*>(
+            arena->Allocate(ncols * sizeof(uint32_t)));
+        for (size_t i = 0; i < ncols; ++i) cols[i] = sets[i].first;
+        // UNDO: before-image delta of the touched columns (Section 6.2);
+        // WAL: their after-image.
+        before_delta =
+            DeltaCodec::MakeDeltaTo(schema_, old_view, cols, ncols, arena);
+        change->undo_delta = before_delta;
+        change->new_row = new_row.value();
+        change->log_body =
+            DeltaCodec::MakeDeltaTo(schema_, new_view, cols, ncols, arena);
+        return Status::OK();
+      },
+      &leaf_miss));
+  if (leaf_miss) {
+    if (!IsFrozen(rid)) return Status::NotFound();
+    // Frozen update: warm the row into hot storage, then update the fresh
+    // copy (Section 5.2 case 3). Runs synchronously.
     OpContext sync;
     sync.InitSyncViewOf(*ctx);
-    for (auto& idx : indexes_) {
-      bool touches = false;
-      for (uint32_t c : idx->key_columns) {
-        if (std::find(cols, cols + ncols, c) != cols + ncols) {
-          touches = true;
-          break;
-        }
-      }
-      if (!touches) continue;
-      Result<Slice> old_key =
-          EncodeKey(schema_, idx->key_columns, old_view, arena);
-      if (!old_key.ok()) return old_key.status();
-      Result<Slice> new_key =
-          EncodeKey(schema_, idx->key_columns, new_view, arena);
-      if (!new_key.ok()) return new_key.status();
-      if (old_key.value() == new_key.value()) continue;
-      PHOEBE_RETURN_IF_ERROR(
-          IndexInsertEntry(&sync, *idx, new_key.value(), rid));
-    }
-    txn->rows_written += 1;
-    return Status::OK();
+    RowId new_rid = 0;
+    PHOEBE_RETURN_IF_ERROR(WarmRow(&sync, txn, rid, &new_rid));
+    return UpdateApply(&sync, txn, new_rid, compute);
   }
+
+  // Key-changing updates: add the new index entries (synchronous); GC drops
+  // the old ones once no snapshot can reach them (OnUndoReclaimed).
+  OpContext sync;
+  sync.InitSyncViewOf(*ctx);
+  return ForEachKeyChange(before_delta, old_view, new_view, arena,
+                          [&](IndexDef& idx, Slice, Slice new_key) {
+                            return IndexInsertEntry(&sync, idx, new_key, rid);
+                          });
 }
 
 // ---------------------------------------------------------------------------
@@ -553,81 +561,13 @@ Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
 // ---------------------------------------------------------------------------
 
 Status Table::Delete(OpContext* ctx, Transaction* txn, RowId rid) {
-
-  if (deps_->options->baseline_global_lock_table) {
-    uint64_t lock_key = GlobalLockTable::Key(id_, rid);
-    for (;;) {
-      Status st = deps_->lock_table->AcquireExclusive(lock_key, txn->xid(),
-                                                      /*blocking=*/false);
-      if (st.ok()) {
-        (*deps_->held_locks)[txn->slot_id()].push_back(lock_key);
-        txn->waiting_on = 0;
-        break;
-      }
-      Status wait = HandleWriteBlock(ctx, txn, st);
-      if (wait.ok()) continue;  // synchronous retry
-      return wait;              // kBlocked (yield) or kAborted (timeout)
-    }
-  }
-
-  for (;;) {
-    LeafGuard g;
-    PHOEBE_RETURN_IF_ERROR(
-        tree_->FixLeaf(ctx, BTree::TableKey(rid), LatchMode::kExclusive, &g));
-    TableLeaf leaf(g.page(), &schema_, &layout_);
-    uint16_t slot;
-    if (!leaf.InRange(rid) || !leaf.IsLive(slot = leaf.SlotOf(rid))) {
-      g.Release();
-      if (frozen_ != nullptr && rid <= frozen_->max_frozen_row_id()) {
-        return DeleteFrozen(ctx, txn, rid);
-      }
-      return Status::NotFound();
-    }
-    BufferFrame* frame = g.frame();
-    bool created = TwinTable::Of(frame) == nullptr;
-    TwinTable* twin = TwinTable::GetOrCreate(frame, leaf.capacity());
-    if (created) deps_->txn_mgr->RegisterTwin(id_, frame);
-    auto& entry = twin->entry(slot);
-
-    {
-      ComponentScope prof(Component::kLocking);
-      Status conflict = CheckWriteConflict(txn->xid(), txn->snapshot(),
-                                           txn->isolation(), &entry, id_, rid);
-      if (conflict.IsBlocked()) {
-        g.Release();
-        Status wait = HandleWriteBlock(ctx, txn, conflict);
-        if (wait.ok()) continue;  // synchronous retry
-        return wait;              // kBlocked (yield) or kAborted (deadlock)
-      }
-      if (!conflict.ok()) return conflict;
-      txn->waiting_on = 0;
-    }
-    if (leaf.IsDeleted(slot)) return Status::NotFound();
-
-    ComponentScope prof(Component::kMvcc);
-    UndoRecord* prev = entry.head.load(std::memory_order_acquire);
-    uint64_t prev_ets = 0;
-    if (prev != nullptr && prev->IsLive(nullptr) && prev->rid == rid) {
-      prev_ets = prev->ets.load(std::memory_order_acquire);
-    }
-    UndoRecord* undo = deps_->txn_mgr->slot(txn->slot_id())
-                           .arena.Alloc(UndoKind::kDelete, id_, rid, Slice());
-    undo->sts.store(prev_ets, std::memory_order_relaxed);
-    undo->ets.store(txn->xid(), std::memory_order_relaxed);
-    undo->next.store(prev, std::memory_order_relaxed);
-    txn->PushUndo(undo);
-    twin->NoteWriter(txn->xid());
-    entry.head.store(undo, std::memory_order_release);
-
-    PHOEBE_RETURN_IF_ERROR(leaf.SetDeleted(slot, true));
-    frame->dirty.store(true, std::memory_order_release);
-    uint64_t gsn = deps_->wal->OnPageWrite(txn, frame);
-    deps_->wal->LogData(txn, WalRecordType::kDelete, gsn,
-                        WalRecordCodec::DataPayloadTo(id_, rid, Slice(),
-                                                      ScratchOf(ctx, txn)));
-    txn->rows_written += 1;
-    return Status::OK();
-  }
+  bool leaf_miss = false;
+  PHOEBE_RETURN_IF_ERROR(WriteRow(
+      ctx, txn, rid, UndoKind::kDelete,
+      [](TableLeaf&, uint16_t, RowChange*) { return Status::OK(); },
+      &leaf_miss));
+  if (!leaf_miss) return Status::OK();
+  return IsFrozen(rid) ? DeleteFrozen(ctx, txn, rid) : Status::NotFound();
 }
 
 /// Out-of-place delete of a row living only in the frozen tier: tombstone +
@@ -639,18 +579,15 @@ Status Table::DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid,
   PHOEBE_RETURN_IF_ERROR(frozen_->ReadRow(rid, &tmp));
   Slice row = arena->Copy(tmp);
   frozen_->MarkDeleted(rid);
-  WalWriter& w = deps_->wal->WriterFor(txn->slot_id());
-  uint64_t gsn = w.LoadGsn() + 1;
-  w.RaiseGsn(gsn);
-  deps_->wal->LogData(txn, WalRecordType::kDelete, gsn,
-                      WalRecordCodec::DataPayloadTo(id_, rid, Slice(), arena));
+  deps_->wal->LogOffPageData(
+      txn, WalRecordType::kDelete,
+      WalRecordCodec::DataPayloadTo(id_, rid, Slice(), arena));
   OpContext sync;
   sync.InitSyncViewOf(*ctx);
   PHOEBE_RETURN_IF_ERROR(ForEachIndexKey(
       RowView(&schema_, row.data()), arena, [&](IndexDef& idx, Slice key) {
         return IndexRemoveEntry(&sync, idx, key, rid);
       }));
-  txn->rows_written += 1;
   if (row_out != nullptr) *row_out = row;
   return Status::OK();
 }
@@ -971,41 +908,42 @@ void Table::OnUndoReclaimed(OpContext* ctx, const UndoRecord& rec) {
                           });
   } else if (rec.kind == UndoKind::kUpdate) {
     // Stale index entries after key-changing updates: the before values of
-    // key columns live in the delta.
+    // key columns live in the delta. Most updates change no key column, and
+    // those need no row read.
+    bool touches_key = false;
     for (auto& idx : indexes_) {
-      Result<bool> affects =
+      Result<bool> t =
           DeltaCodec::TouchesAny(schema_, rec.delta(), idx->key_columns);
-      if (!affects.ok()) return;
-      if (!affects.value()) continue;
-      // Reconstruct the before image from the current row + delta and drop
-      // its (now stale) entry.
-      Slice cur;
-      {
-        LeafGuard g;
-        Status st = tree_->FixLeaf(&sync, BTree::TableKey(rec.rid),
-                                   LatchMode::kShared, &g);
-        if (!st.ok()) return;
-        TableLeaf leaf(g.page(), &schema_, &layout_);
-        if (!leaf.InRange(rec.rid)) return;
-        uint16_t slot = leaf.SlotOf(rec.rid);
-        if (!leaf.IsLive(slot)) return;
-        Result<Slice> row = leaf.ReadRowTo(slot, arena);
-        if (!row.ok()) return;
-        cur = row.value();
-      }
-      Result<Slice> before =
-          DeltaCodec::ApplyDeltaTo(schema_, cur, rec.delta(), arena);
-      if (!before.ok()) return;
-      Result<Slice> old_key = EncodeKey(
-          schema_, idx->key_columns, RowView(&schema_, before.value().data()),
-          arena);
-      Result<Slice> cur_key = EncodeKey(schema_, idx->key_columns,
-                                        RowView(&schema_, cur.data()), arena);
-      if (old_key.ok() && cur_key.ok() &&
-          old_key.value() != cur_key.value()) {
-        (void)IndexRemoveEntry(&sync, *idx, old_key.value(), rec.rid);
-      }
+      touches_key |= t.ok() && t.value();
     }
+    if (!touches_key) return;
+    // Rebuild the before image from the current row + delta and drop the
+    // entries only it has.
+    Slice cur;
+    {
+      LeafGuard g;
+      Status st = tree_->FixLeaf(&sync, BTree::TableKey(rec.rid),
+                                 LatchMode::kShared, &g);
+      if (!st.ok()) return;
+      TableLeaf leaf(g.page(), &schema_, &layout_);
+      uint16_t slot;
+      if (!leaf.InRange(rec.rid) || !leaf.IsLive(slot = leaf.SlotOf(rec.rid)))
+        return;
+      Result<Slice> row = leaf.ReadRowTo(slot, arena);
+      if (!row.ok()) return;
+      cur = row.value();
+    }
+    Result<Slice> before =
+        DeltaCodec::ApplyDeltaTo(schema_, cur, rec.delta(), arena);
+    if (!before.ok()) return;
+    (void)ForEachKeyChange(rec.delta(),
+                           RowView(&schema_, before.value().data()),
+                           RowView(&schema_, cur.data()), arena,
+                           [&](IndexDef& idx, Slice old_key, Slice) {
+                             (void)IndexRemoveEntry(&sync, idx, old_key,
+                                                    rec.rid);
+                             return Status::OK();
+                           });
   }
 }
 
@@ -1164,23 +1102,14 @@ Status Table::ReplayUpdate(OpContext* ctx, RowId rid, Slice after_delta) {
   g.Release();
 
   // Key-changing updates: refresh index entries.
-  for (auto& idx : indexes_) {
-    Result<bool> affects =
-        DeltaCodec::TouchesAny(schema_, after_delta, idx->key_columns);
-    if (!affects.ok()) return affects.status();
-    if (!affects.value()) continue;
-    Result<Slice> old_key =
-        EncodeKey(schema_, idx->key_columns, old_view, arena);
-    Result<Slice> new_key =
-        EncodeKey(schema_, idx->key_columns, new_view, arena);
-    if (!old_key.ok() || !new_key.ok()) continue;
-    if (old_key.value() == new_key.value()) continue;
-    (void)IndexRemoveEntry(ctx, *idx, old_key.value(), rid);
-    std::string entry_key = IndexEntryKey(*idx, new_key.value(), rid);
-    Status st = idx->tree->IndexInsert(ctx, entry_key, rid);
-    if (!st.ok() && !st.IsKeyExists()) return st;
-  }
-  return Status::OK();
+  return ForEachKeyChange(
+      after_delta, old_view, new_view, arena,
+      [&](IndexDef& idx, Slice old_key, Slice new_key) {
+        (void)IndexRemoveEntry(ctx, idx, old_key, rid);
+        Status st = idx.tree->IndexInsert(
+            ctx, IndexEntryKey(idx, new_key, rid), rid);
+        return st.IsKeyExists() ? Status::OK() : st;
+      });
 }
 
 Status Table::ReplayDelete(OpContext* ctx, RowId rid) {

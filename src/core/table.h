@@ -17,6 +17,7 @@
 #include "storage/op_context.h"
 #include "storage/schema.h"
 #include "txn/transaction.h"
+#include "txn/twin_table.h"
 #include "txn/txn_manager.h"
 #include "wal/wal_manager.h"
 
@@ -224,9 +225,47 @@ class Table {
   Status DropIndexAt(OpContext* ctx, size_t index_no);
 
  private:
-  /// Applies the table-side of an insert (leaf fix + twin + undo + PAX +
-  /// WAL) idempotently for `txn`.
-  Status InsertBase(OpContext* ctx, Transaction* txn, RowId rid, Slice row);
+  /// A row change as the write step installs it: the UNDO before-image
+  /// delta (empty for an insert or delete), the row the slot holds
+  /// afterwards (insert, update), and the WAL payload body (the row, the
+  /// after-image delta, or empty for a delete).
+  struct RowChange {
+    Slice undo_delta;
+    Slice new_row;
+    Slice log_body;
+  };
+  /// Builds the change from the row's slot, under the exclusive latch and
+  /// after the conflict check.
+  using ChangeFn =
+      FunctionRef<Status(TableLeaf& leaf, uint16_t slot, RowChange* change)>;
+
+  /// The one write step of Insert, Update and Delete (DESIGN.md 4b.5):
+  /// baseline row lock, exclusive leaf latch, twin-table entry, conflict
+  /// wait (not for inserts), `prepare`, UNDO link, page change, page stamp
+  /// and WAL record. Sets `*leaf_miss` and changes nothing when the tree has
+  /// no leaf for `rid` (or, for updates and deletes, no row): each caller
+  /// applies its own rule for that case.
+  Status WriteRow(OpContext* ctx, Transaction* txn, RowId rid, UndoKind kind,
+                  ChangeFn prepare, bool* leaf_miss);
+
+  /// Baseline global lock table: takes `rid`'s row lock before the page is
+  /// touched, with the deadlock-timeout policy of the XID wait.
+  Status LockRowBaseline(OpContext* ctx, Transaction* txn, RowId rid);
+
+  /// Links a `kind` UNDO record carrying `delta`, stamped with the writer's
+  /// XID, at the head of `entry`'s version chain (Section 6.2).
+  void LinkUndo(Transaction* txn, TwinTable* twin, TwinTable::Entry& entry,
+                UndoKind kind, RowId rid, Slice delta);
+
+  /// The index entries that differ between two images of a row: for every
+  /// index whose key columns `delta` carries and whose key differs, calls
+  /// `fn(IndexDef&, Slice old_key, Slice new_key) -> Status`.
+  template <typename Fn>
+  Status ForEachKeyChange(Slice delta, RowView old_row, RowView new_row,
+                          Arena* arena, Fn&& fn);
+
+  /// True iff `rid` lies at or below the frozen watermark.
+  bool IsFrozen(RowId rid) const;
 
   /// Write-conflict wait with deadlock-timeout accounting. Returns OK when
   /// the synchronous caller should retry, kBlocked to make the coroutine

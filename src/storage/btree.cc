@@ -787,21 +787,6 @@ Status BTree::IndexScan(OpContext* ctx, const Slice& lo, const Slice& hi,
   }
 }
 
-Status BTree::IndexScanDesc(OpContext* ctx, const Slice& lo, const Slice& hi,
-                            const std::function<bool(Slice, uint64_t)>& cb) {
-  // Bounded ranges only: collect ascending, then emit in reverse.
-  std::vector<std::pair<std::string, uint64_t>> rows;
-  PHOEBE_RETURN_IF_ERROR(
-      IndexScan(ctx, lo, hi, [&rows](Slice k, uint64_t v) {
-        rows.emplace_back(k.ToString(), v);
-        return true;
-      }));
-  for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
-    if (!cb(Slice(it->first), it->second)) break;
-  }
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // Table-tree operations
 // ---------------------------------------------------------------------------

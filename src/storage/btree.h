@@ -129,11 +129,6 @@ class BTree {
   Status IndexScan(OpContext* ctx, const Slice& lo, const Slice& hi,
                    const std::function<bool(Slice, uint64_t)>& cb);
 
-  /// Descending scan over keys < hi_exclusive, newest-first, starting from
-  /// the largest key below `hi_exclusive` and stopping below `lo`.
-  Status IndexScanDesc(OpContext* ctx, const Slice& lo, const Slice& hi,
-                       const std::function<bool(Slice, uint64_t)>& cb);
-
   /// --- Table-tree operations ------------------------------------------------
 
   /// Appends a fresh rightmost PAX leaf anchored at `first_row_id`. Called

@@ -63,10 +63,6 @@ class Transaction {
   /// unfinished, i.e. possibly not yet durable.
   Timestamp max_observed_cts = 0;
 
-  /// Statistics.
-  uint64_t rows_read = 0;
-  uint64_t rows_written = 0;
-
   /// Deadlock-timeout bookkeeping: the XID this transaction is currently
   /// waiting on and when the wait began. Waits exceeding the engine's
   /// deadlock timeout abort the waiter (timeout-based deadlock resolution,

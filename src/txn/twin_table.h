@@ -14,16 +14,13 @@ namespace phoebe {
 /// Page-level mapping table linking tuples to their UNDO version chains
 /// (Section 6.2). Created lazily on the first modification of a page;
 /// attached to the page's BufferFrame (which pins the frame in memory while
-/// the twin table lives). Each entry holds the version-chain head and the
-/// tuple-lock metadata the paper stores in the twin table (Section 7.2).
+/// the twin table lives). Each entry holds the version-chain head; the
+/// head's ets doubles as the tuple lock (an XID while its writer runs,
+/// Section 7.2).
 class TwinTable {
  public:
   struct Entry {
     std::atomic<UndoRecord*> head{nullptr};
-    /// XID of the transaction currently holding this tuple's write lock
-    /// (0 = unlocked). Informational: conflict resolution goes through the
-    /// version-chain ets; this supports lock introspection and stats.
-    std::atomic<uint64_t> locker{0};
   };
 
   explicit TwinTable(uint16_t capacity) : entries_(capacity) {}

@@ -109,8 +109,6 @@ Transaction* TxnManager::BeginOnSlot(uint32_t slot_id, IsolationLevel iso) {
   txn.max_gsn = 0;
   txn.remote_dependency = false;
   txn.max_observed_cts = 0;
-  txn.rows_read = 0;
-  txn.rows_written = 0;
   txn.leaf_cache.Clear();
 
   s.active_start_ts.store(ts, std::memory_order_relaxed);

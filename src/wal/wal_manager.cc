@@ -424,11 +424,24 @@ void WalManager::LogData(Transaction* txn, WalRecordType type, uint64_t gsn,
       WriterFor(txn->slot_id()).Append(type, txn->xid(), gsn, payload);
 }
 
+void WalManager::LogOffPageData(Transaction* txn, WalRecordType type,
+                                Slice payload) {
+  WalWriter& w = WriterFor(txn->slot_id());
+  uint64_t gsn = w.LoadGsn() + 1;
+  w.RaiseGsn(gsn);
+  LogData(txn, type, gsn, payload);
+}
+
 void WalManager::LogCommit(Transaction* txn, Timestamp cts) {
   ComponentScope prof(Component::kWal);
   WalWriter& w = WriterFor(txn->slot_id());
   txn->last_lsn = w.Append(WalRecordType::kCommit, txn->xid(), w.LoadGsn(),
                            WalRecordCodec::CommitPayload(cts));
+}
+
+void WalManager::LogAbort(Transaction* txn) {
+  WalWriter& w = WriterFor(txn->slot_id());
+  w.Append(WalRecordType::kAbort, txn->xid(), w.LoadGsn(), Slice());
 }
 
 uint64_t WalManager::GlobalFlushedGsn(uint64_t cap) const {

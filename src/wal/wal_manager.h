@@ -232,10 +232,17 @@ class WalManager {
   void LogData(Transaction* txn, WalRecordType type, uint64_t gsn,
                Slice payload);
 
+  /// Appends a data record that changes no buffered page (the delete of a
+  /// frozen row) under the writer's next GSN.
+  void LogOffPageData(Transaction* txn, WalRecordType type, Slice payload);
+
   /// Appends the commit record; returns OK when the commit is durable or
   /// kBlocked(kAsyncRead)-style wait is needed (coroutine mode polls with
   /// CommitDurable).
   void LogCommit(Transaction* txn, Timestamp cts);
+
+  /// Appends the abort record of a transaction that logged data.
+  void LogAbort(Transaction* txn);
 
   /// True once the commit of `txn` (logged via LogCommit) is durable under
   /// the RFA rule: own writer flushed past the commit LSN, plus the global

@@ -7,7 +7,9 @@
 
 #include <chrono>
 #include <map>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "core/database.h"
 #include "tests/test_util.h"
@@ -169,8 +171,41 @@ TEST_F(TableTest, IndexScanFiltersInvisibleRows) {
   ASSERT_OK(db_->Commit(&ctx_, reader2));
 }
 
-TEST_F(TableTest, RepeatableReadFirstUpdaterWins) {
-  Open();
+/// The writes that lock an existing row, each run through the conflict
+/// tests below; the second parameter turns on the baseline global lock
+/// table, whose row lock comes before the XID wait.
+enum class RowWrite { kUpdate, kDelete };
+
+class TableWriteTest
+    : public TableTest,
+      public ::testing::WithParamInterface<std::tuple<RowWrite, bool>> {
+ protected:
+  void OpenFor(DatabaseOptions opts = {}) {
+    opts.baseline_global_lock_table = std::get<1>(GetParam());
+    Open(opts);
+  }
+
+  Status Write(OpContext* ctx, Transaction* txn, RowId rid, int32_t qty) {
+    if (std::get<0>(GetParam()) == RowWrite::kDelete) {
+      return table_->Delete(ctx, txn, rid);
+    }
+    return table_->Update(ctx, txn, rid, {{2, Value::Int32(qty)}});
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Writes, TableWriteTest,
+    ::testing::Combine(::testing::Values(RowWrite::kUpdate, RowWrite::kDelete),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<RowWrite, bool>>& info) {
+      return std::string(std::get<0>(info.param) == RowWrite::kUpdate
+                             ? "Update"
+                             : "Delete") +
+             (std::get<1>(info.param) ? "BaselineLocks" : "");
+    });
+
+TEST_P(TableWriteTest, RepeatableReadFirstUpdaterWins) {
+  OpenFor();
   Transaction* setup = db_->Begin(db_->aux_slot(0));
   RowId rid = InsertItem(setup, 7, "contended", 100);
   ASSERT_OK(db_->Commit(&ctx_, setup));
@@ -185,14 +220,14 @@ TEST_F(TableTest, RepeatableReadFirstUpdaterWins) {
   ASSERT_OK(table_->Update(&ctx_, other, rid, {{2, Value::Int32(1)}}));
   ASSERT_OK(db_->Commit(&ctx_, other));
 
-  // RR transaction must abort on the stale update.
-  Status st = table_->Update(&ctx_, rr, rid, {{2, Value::Int32(2)}});
+  // RR transaction must abort on the stale write.
+  Status st = Write(&ctx_, rr, rid, 2);
   EXPECT_TRUE(st.IsAborted()) << st.ToString();
   ASSERT_OK(db_->Abort(&ctx_, rr));
 
   // Read-committed retries against the newest version instead.
   Transaction* rc = db_->Begin(db_->aux_slot(0));
-  ASSERT_OK(table_->Update(&ctx_, rc, rid, {{2, Value::Int32(3)}}));
+  ASSERT_OK(Write(&ctx_, rc, rid, 3));
   ASSERT_OK(db_->Commit(&ctx_, rc));
 }
 
@@ -325,10 +360,10 @@ TEST_F(TableTest, GcPurgesDeletedTuplesAndIndexEntries) {
   ASSERT_OK(db_->Commit(&ctx_, again));
 }
 
-TEST_F(TableTest, DeadlockTimeoutAbortsOneParty) {
+TEST_P(TableWriteTest, DeadlockTimeoutAbortsOneParty) {
   DatabaseOptions opts;
   opts.deadlock_timeout_ms = 100;
-  Open(opts);
+  OpenFor(opts);
   Transaction* setup = db_->Begin(db_->aux_slot(0));
   RowId a = InsertItem(setup, 1, "a", 0);
   RowId b = InsertItem(setup, 2, "b", 0);
@@ -340,11 +375,9 @@ TEST_F(TableTest, DeadlockTimeoutAbortsOneParty) {
     OpContext ctx;
     ctx.synchronous = true;
     Transaction* txn = db_->Begin(db_->aux_slot(slot));
-    Status st = table_->Update(&ctx, txn, first, {{2, Value::Int32(1)}});
+    Status st = Write(&ctx, txn, first, 1);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    if (st.ok()) {
-      st = table_->Update(&ctx, txn, second, {{2, Value::Int32(2)}});
-    }
+    if (st.ok()) st = Write(&ctx, txn, second, 2);
     if (st.ok()) {
       EXPECT_OK(db_->Commit(&ctx, txn));
     } else {

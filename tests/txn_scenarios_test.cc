@@ -120,16 +120,25 @@ TEST_F(TxnScenarioTest, InsertDeleteSameTxnThenCommit) {
 
 // --- Coroutine blocked/retry protocol, driven by hand ------------------------
 
-TxnTask BlockedUpdateTask(Database* db, Table* table, RowId rid,
-                          uint32_t slot, int64_t value, int* wait_count) {
+/// The writes that lock an existing row.
+enum class RowWrite { kUpdate, kDelete };
+
+/// Sets `rid`'s value to `value` (or deletes it) and commits, yielding on
+/// every kBlocked. The transaction is handed out in `*txn_out`.
+TxnTask BlockedWriteTask(Database* db, Table* table, RowId rid, uint32_t slot,
+                         RowWrite write, int64_t value, int* wait_count,
+                         Transaction** txn_out) {
   TaskEnv env;  // local env: we drive this task manually
   env.global_slot_id = slot;
   env.ctx.synchronous = false;  // coroutine mode: ops return kBlocked
   Transaction* txn = db->Begin(slot);
+  *txn_out = txn;
   db->StatementBegin(txn);
   Status st;
   for (;;) {
-    st = table->Update(&env.ctx, txn, rid, {{1, Value::Int64(value)}});
+    st = write == RowWrite::kDelete
+             ? table->Delete(&env.ctx, txn, rid)
+             : table->Update(&env.ctx, txn, rid, {{1, Value::Int64(value)}});
     if (!st.IsBlocked()) break;
     ++*wait_count;
     co_await YieldWait(st);
@@ -146,7 +155,17 @@ TxnTask BlockedUpdateTask(Database* db, Table* table, RowId rid,
   co_return st;
 }
 
-TEST_F(TxnScenarioTest, CoroutineWaitsOnXidLockThenSucceeds) {
+class TxnScenarioWriteTest : public TxnScenarioTest,
+                             public ::testing::WithParamInterface<RowWrite> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Writes, TxnScenarioWriteTest,
+    ::testing::Values(RowWrite::kUpdate, RowWrite::kDelete),
+    [](const ::testing::TestParamInfo<RowWrite>& info) {
+      return info.param == RowWrite::kUpdate ? "Update" : "Delete";
+    });
+
+TEST_P(TxnScenarioWriteTest, CoroutineWaitsOnXidLockThenSucceeds) {
   Transaction* setup = db_->Begin(db_->aux_slot(0));
   RowId rid = Insert(setup, 5, 1);
   ASSERT_OK(db_->Commit(&ctx_, setup));
@@ -156,20 +175,25 @@ TEST_F(TxnScenarioTest, CoroutineWaitsOnXidLockThenSucceeds) {
   ASSERT_OK(table_->Update(&ctx_, holder, rid, {{1, Value::Int64(2)}}));
 
   int waits = 0;
-  TxnTask task =
-      BlockedUpdateTask(db_.get(), table_, rid, db_->aux_slot(1), 3, &waits);
-  // Drive the coroutine: it must park on the holder's XID lock.
+  Transaction* waiter = nullptr;
+  TxnTask task = BlockedWriteTask(db_.get(), table_, rid, db_->aux_slot(1),
+                                  GetParam(), 3, &waits, &waiter);
+  // Drive the coroutine: it must park on the holder's XID lock, before it
+  // linked any UNDO record (a kBlocked write has changed nothing, so the
+  // retry repeats it whole).
   task.Resume();
   ASSERT_FALSE(task.done());
   EXPECT_EQ(task.wait_kind(), WaitKind::kXidLock);
   EXPECT_EQ(task.wait_xid(), holder->xid());
   EXPECT_GE(waits, 1);
+  EXPECT_EQ(waiter->undo_count(), 0u);
 
   // A few more resumes while the holder is alive: still parked.
   for (int i = 0; i < 3; ++i) {
     task.Resume();
     ASSERT_FALSE(task.done());
     EXPECT_EQ(task.wait_kind(), WaitKind::kXidLock);
+    EXPECT_EQ(waiter->undo_count(), 0u);
   }
 
   // Holder commits; the waiter retries against the new version and wins.
@@ -178,7 +202,12 @@ TEST_F(TxnScenarioTest, CoroutineWaitsOnXidLockThenSucceeds) {
   ASSERT_OK(st);
 
   Transaction* reader = db_->Begin(db_->aux_slot(0));
-  EXPECT_EQ(Read(reader, rid), 3);
+  if (GetParam() == RowWrite::kUpdate) {
+    EXPECT_EQ(Read(reader, rid), 3);
+  } else {
+    Slice row;
+    EXPECT_TRUE(table_->GetRef(&ctx_, reader, rid, &row).IsNotFound());
+  }
   ASSERT_OK(db_->Commit(&ctx_, reader));
 }
 
@@ -190,8 +219,9 @@ TEST_F(TxnScenarioTest, CoroutineCommitYieldsOnFlush) {
   ASSERT_OK(db_->Commit(&ctx_, setup));
 
   int waits = 0;
-  TxnTask task =
-      BlockedUpdateTask(db_.get(), table_, rid, db_->aux_slot(1), 9, &waits);
+  Transaction* txn = nullptr;
+  TxnTask task = BlockedWriteTask(db_.get(), table_, rid, db_->aux_slot(1),
+                                  RowWrite::kUpdate, 9, &waits, &txn);
   Status st = task.RunToCompletion();  // spin-resume until durable
   ASSERT_OK(st);
   Transaction* reader = db_->Begin(db_->aux_slot(0));
